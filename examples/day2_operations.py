@@ -5,7 +5,7 @@ The operational story behind the paper's reliability claims, told with
 the repo's tooling:
 
 1. fsck the object graph;
-2. scale the rack out by one storage node and rebalance replicas;
+2. scale the rack out by one storage node and hand replicas off to it;
 3. lose a middleware with unmerged patches -- recover them from the
    durable patch objects alone;
 4. back the account up to a Cumulus snapshot and verify the restore;
@@ -32,14 +32,17 @@ def main() -> None:
     print(" ", H2Fsck(fs.middlewares[0]).check().summary())
 
     print("\n== 2. scale out + rebalance ==")
-    node = cluster.add_storage_node()
+    membership = cluster.membership
+    node = membership.add_node()
     degraded = sum(
         1 for name in cluster.store.names()
         if cluster.store.replica_health(name)[0] < 3
     )
-    print(f"  node {node.node_id} joined; {degraded} objects under-replicated")
-    written, dropped = cluster.store.rebalance()
-    print(f"  replicator moved {written} replicas in, {dropped} stale out")
+    print(f"  node {node.node_id} joined at epoch {membership.epoch}; "
+          f"{degraded} objects under-replicated")
+    membership.quiesce()
+    print(f"  handoff moved {membership.partitions_moved} objects "
+          f"({membership.bytes_migrated:,} B) in; stale copies released")
     print(f"  new node now holds {node.object_count} replicas")
     print(" ", H2Fsck(fs.middlewares[0]).check().summary())
 

@@ -1,11 +1,12 @@
-"""Bench-trajectory regression guard: fail CI on a >20% slowdown.
+"""Bench-trajectory regression guard: fail CI when a guarded metric moves.
 
-Compares a freshly generated pair of trajectory artifacts (the
-*candidate*) against the committed pair (the *baseline*) and fails
-when any guarded metric regresses by more than the tolerance:
+Compares a freshly generated set of trajectory artifacts (the
+*candidate*) against the committed set (the *baseline*) and fails when
+any guarded metric differs from its baseline value, in either
+direction:
 
 * every per-operation ``mean_ms`` in ``BENCH_headline.json``,
-* ``sim_makespan_ms`` of both artifacts,
+* ``sim_makespan_ms`` of every artifact,
 * ``background_ms`` of the maintenance artifact,
 * the traffic sections' ``store_gets`` / ``store_puts`` with the
   flags on (the tentpole win must not silently erode),
@@ -17,16 +18,16 @@ when any guarded metric regresses by more than the tolerance:
 * the partition artifact's per-phase write p99 and unavailable rate
   (1 - ack_rate) -- the hinted-handoff availability win under a live
   cut must not silently erode,
-* the hugedir artifact's sharded-side per-op insert bytes and the
-  hotspot phase's per-class p99 for both layouts -- the sub-linear
+* the hugedir artifact's per-op insert/list bytes for both layouts and
+  the hotspot phase's per-class p99 for both layouts -- the sub-linear
   per-op cost that justifies sharded NameRings must not regress back
   toward O(m).
 
-Both artifacts are deterministic for a given scale (the simulated
+Every artifact is deterministic for a given scale (the simulated
 clock is the only time source), so any drift is a real behavioural
-change, not noise -- the 20% tolerance exists to let intentional
-cost-model tweaks land without ceremony while catching order-of-
-magnitude mistakes.
+change, not noise.  A faster figure fails too: a change that means to
+move a figure regenerates the committed baseline and says why.  Each
+moved metric is printed as ``label: old -> new``.
 
     python -m repro.bench guard --baseline-dir . --candidate-dir results/
 """
@@ -45,10 +46,6 @@ ARTIFACTS = (
     "BENCH_hugedir.json",
 )
 
-#: a candidate may cost up to this factor of the baseline before failing
-TOLERANCE = 1.20
-
-
 class GuardError(Exception):
     """A guarded artifact is missing or unreadable."""
 
@@ -61,16 +58,6 @@ def _load(directory: str | Path, name: str) -> dict:
         raise GuardError(f"missing artifact: {path}") from None
     except json.JSONDecodeError as exc:
         raise GuardError(f"unreadable artifact {path}: {exc}") from None
-
-
-def _check(label: str, base: float, cand: float) -> str | None:
-    """A violation line if ``cand`` regressed past tolerance, else None."""
-    if base <= 0 or cand <= base * TOLERANCE:
-        return None
-    return (
-        f"{label}: {cand:.3f} vs baseline {base:.3f} "
-        f"(+{(cand / base - 1) * 100:.0f}%, tolerance +{(TOLERANCE - 1) * 100:.0f}%)"
-    )
 
 
 def _guarded_metrics(doc: dict) -> dict[str, float]:
@@ -91,9 +78,7 @@ def _guarded_metrics(doc: dict) -> dict[str, float]:
                 metrics[f"{phase}.{key}"] = stats[key]
     fleet = doc.get("fleet", {})
     if fleet.get("ops_per_sec"):
-        # Throughput is higher-is-better; guard on its inverse so the
-        # shared "candidate must not exceed baseline * tolerance" check
-        # catches a throughput *drop*.
+        # Guarded as its inverse so every scale figure reads as a cost.
         metrics["fleet.ms_per_kop"] = 1e6 / fleet["ops_per_sec"]
     if "latency" in fleet:
         metrics["fleet.p99_ms"] = fleet["latency"]["p99_ms"]
@@ -124,11 +109,7 @@ def _guarded_metrics(doc: dict) -> dict[str, float]:
             if "write_p99_ms" in stats:
                 metrics[f"{phase}.write_p99_ms"] = stats["write_p99_ms"]
             if "ack_rate" in stats:
-                # Availability is higher-is-better; guard its complement
-                # so a drop in ack rate reads as a cost increase.  A 1.0
-                # baseline yields 0 and is skipped by _check, but the
-                # hints_off phase always fails some writes, so the pair
-                # still pins the comparison.
+                # Guarded as its complement so the figure reads as a cost.
                 metrics[f"{phase}.unavailable_rate"] = round(
                     1.0 - stats["ack_rate"], 4
                 )
@@ -136,7 +117,7 @@ def _guarded_metrics(doc: dict) -> dict[str, float]:
 
 
 def compare(baseline_dir: str | Path, candidate_dir: str | Path) -> list[str]:
-    """All tolerance violations between the two artifact pairs."""
+    """One ``label: old -> new`` line per guarded metric that moved."""
     violations: list[str] = []
     for name in ARTIFACTS:
         base_doc = _load(baseline_dir, name)
@@ -153,9 +134,9 @@ def compare(baseline_dir: str | Path, candidate_dir: str | Path) -> list[str]:
             if label not in cand_metrics:
                 violations.append(f"{name}: {label} vanished from candidate")
                 continue
-            line = _check(label, base_value, cand_metrics[label])
-            if line:
-                violations.append(f"{name}: {line}")
+            cand_value = cand_metrics[label]
+            if cand_value != base_value:
+                violations.append(f"{name}: {label}: {base_value} -> {cand_value}")
     return violations
 
 
@@ -167,9 +148,9 @@ def run_guard(baseline_dir: str | Path, candidate_dir: str | Path) -> int:
         print(f"guard: {exc}")
         return 2
     if violations:
-        print(f"guard: {len(violations)} regression(s) past tolerance")
+        print(f"guard: {len(violations)} guarded metric(s) moved")
         for line in violations:
             print(f"  {line}")
         return 1
-    print("guard: candidate within tolerance of baseline")
+    print("guard: every guarded metric equals the baseline")
     return 0

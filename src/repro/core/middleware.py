@@ -949,14 +949,18 @@ class H2Middleware:
             self._guard_cycle(account, child, dst)
         ts = self.next_timestamp()
         if child.kind == KIND_FILE:
-            src_key = file_key(src_res.parent_ns, child.name)
-            self.store.copy(src_key, file_key(dst_parent_ns, dst_name))
+            # The cached tuple may predate an overwrite another
+            # middleware made; the copied object's own info cannot.
+            info = self.store.copy(
+                file_key(src_res.parent_ns, child.name),
+                file_key(dst_parent_ns, dst_name),
+            )
             moved = Child(
                 name=dst_name,
                 timestamp=ts,
                 kind=KIND_FILE,
-                size=child.size,
-                etag=child.etag,
+                size=info.size,
+                etag=info.etag,
             )
         else:
             record = DirectoryRecord(
@@ -1104,7 +1108,7 @@ class H2Middleware:
             raise AlreadyExists(dst)
         ts = self.next_timestamp()
         if src_res.child is not None and src_res.child.kind == KIND_FILE:
-            self.store.copy(
+            info = self.store.copy(
                 file_key(src_res.parent_ns, src_res.child.name),
                 file_key(dst_parent_ns, dst_name),
             )
@@ -1115,8 +1119,8 @@ class H2Middleware:
                         name=dst_name,
                         timestamp=ts,
                         kind=KIND_FILE,
-                        size=src_res.child.size,
-                        etag=src_res.child.etag,
+                        size=info.size,
+                        etag=info.etag,
                     )
                 ],
             )
@@ -1140,23 +1144,11 @@ class H2Middleware:
         self.store.put(directory_key(new_ns), formatter.dumps_directory(record))
         src_fd = self.load_ring(src_ns)
         children = src_fd.view().live_children()
-        copies = []
-        new_children: dict[str, Child] = {}
+        files: list[str] = []
         copied = 1  # the directory record itself
         for child in children:
             if child.kind == KIND_FILE:
-                copies.append(
-                    lambda c=child: self.store.copy(
-                        file_key(src_ns, c.name), file_key(new_ns, c.name)
-                    )
-                )
-                new_children[child.name] = Child(
-                    name=child.name,
-                    timestamp=ts,
-                    kind=KIND_FILE,
-                    size=child.size,
-                    etag=child.etag,
-                )
+                files.append(child.name)
             else:
                 copied += self._copy_tree(
                     Namespace(child.ns), new_ns, child.name, ts
@@ -1164,9 +1156,28 @@ class H2Middleware:
                 # _copy_tree patched new_ns's ring via submit_patch below;
                 # fetch the allocated namespace from our own ring instead
                 # of tracking return values: simpler to re-read after.
-        if copies:
-            self.store.parallel(copies, lanes=self.store.latency.data_concurrency)
-            copied += len(copies)
+        new_children: dict[str, Child] = {}
+        if files:
+            infos = self.store.parallel(
+                [
+                    lambda n=name: self.store.copy(
+                        file_key(src_ns, n), file_key(new_ns, n)
+                    )
+                    for name in files
+                ],
+                lanes=self.store.latency.data_concurrency,
+            )
+            # Size and etag come from the copied objects, not from the
+            # source ring's tuples, which may be stale.
+            for name, info in zip(files, infos):
+                new_children[name] = Child(
+                    name=name,
+                    timestamp=ts,
+                    kind=KIND_FILE,
+                    size=info.size,
+                    etag=info.etag,
+                )
+            copied += len(files)
         # Write the new ring in one shot: a fresh subtree has no
         # concurrent writers, so a direct PUT (not a patch per child)
         # is both faithful and O(1) in ring round trips.

@@ -90,7 +90,8 @@ class SwiftCluster:
         if fault_plan is not None:
             self.install_fault_plan(fault_plan)
         # Elastic membership: epoch-versioned join/drain/remove with
-        # live rebalancing.  The store holds a back-reference so its
+        # live rebalancing, the only way nodes join or leave the ring
+        # after construction.  The store holds a back-reference so its
         # read/write paths can honour an open migration window.
         self.membership = ClusterMembership(self)
         self.store.membership = self.membership
@@ -182,19 +183,6 @@ class SwiftCluster:
     # ------------------------------------------------------------------
     # cluster-wide operations
     # ------------------------------------------------------------------
-    def add_storage_node(self) -> StorageNode:
-        """Scale out by one node (ring rebalance happens implicitly)."""
-        node_id = max(self.nodes) + 1
-        node = StorageNode(
-            node_id,
-            latency=self.latency,
-            capacity_bytes=self.config.node_capacity_bytes,
-        )
-        node.fault_plan = self.fault_plan
-        self.nodes[node_id] = node
-        self.ring.add_node(node_id)
-        return node
-
     def storage_stats(self) -> dict[int, tuple[int, int]]:
         """Per-node (object replicas held, bytes used)."""
         return {

@@ -241,8 +241,7 @@ class ClusterMembership:
 
         Only callable once the plan has drained; the sweeper calls it
         automatically.  The release pass is maintenance (fault-free,
-        background-accounted), mirroring
-        :meth:`~repro.simcloud.object_store.ObjectStore.rebalance`.
+        background-accounted).
         """
         plan = self.plan
         if plan is None:

@@ -309,7 +309,7 @@ class ObjectStore:
         return self.fault_plan.suspended()
 
     # ------------------------------------------------------------------
-    # dual-ownership placement (open migration windows only)
+    # placement: owners, then open-window old owners, then hint holders
     # ------------------------------------------------------------------
     def _migration_extras(self, name: str, owners: Sequence[int]) -> tuple[int, ...]:
         """Old-epoch owners of ``name`` not in the current replica set.
@@ -325,27 +325,38 @@ class ObjectStore:
             nid for nid in m.old_owners_for(name) if nid not in owners
         )
 
-    def maintenance_nodes_for(self, name: str) -> list[int]:
-        """Replica set for maintenance sweeps: both epochs during a window.
+    def placement_for(self, name: str, dual_read: bool = False) -> list[int]:
+        """Every node that may hold ``name``, in read-preference order.
 
-        Repair and scrub walk this union so that mid-rebalance healing
-        reaches the old owners still serving dual reads; the stray
-        copies it writes there are dropped at handoff finalize.  Nodes
-        holding hinted copies are included too, so sweeps see (and can
-        heal from) payloads parked by sloppy-quorum writes.
+        The ring's owners first; while a migration window is open, the
+        old epoch's owners (the new ones may not hold the object until
+        its handoff completes); last, live nodes holding a hinted copy
+        under the real name.  Reads, deletes, repair and scrub all walk
+        this one list -- stray copies that healing writes on old owners
+        are dropped at handoff finalize.  ``dual_read`` counts and
+        traces a read that reached into the old epoch.
         """
-        owners = list(self.ring.nodes_for(name))
-        owners.extend(self._migration_extras(name, owners))
+        nodes = list(self.ring.nodes_for(name))
+        extras = self._migration_extras(name, nodes)
+        if extras:
+            nodes.extend(extras)
+            if dual_read:
+                self.membership.dual_reads += 1
+                if not self.tracer.noop:
+                    self.tracer.event(
+                        "membership.dual_read", tags={"object": name}
+                    )
         if self.hints is not None:
             # A holder that has since departed the cluster is skipped:
-            # its hint is dropped at the next drain, and sweeps must
-            # only ever index live nodes.
-            owners.extend(
+            # its hint is dropped at the next drain.  The dedup matters
+            # when a hint holder is also an owner or an old owner -- one
+            # node must not be attempted (or counted) twice.
+            nodes.extend(
                 nid
                 for nid in self.hints.holders_for(name)
-                if nid not in owners and nid in self.nodes
+                if nid not in nodes and nid in self.nodes
             )
-        return owners
+        return nodes
 
     # ------------------------------------------------------------------
     # primitives
@@ -358,7 +369,15 @@ class ObjectStore:
         meta: dict[str, str] | None = None,
         overwrite: bool = True,
     ) -> ObjectInfo:
-        """Store an object on its replica set (parallel fan-out, quorum)."""
+        """Store an object on its replica set (parallel fan-out, quorum).
+
+        Three roles receive the record, in this order, each through the
+        one local write step below: the ring's owners (counted toward
+        the quorum); while a migration window is open, the old epoch's
+        owners (write-through, best effort, not counted); and with
+        hinted handoff armed, one fallback per missed owner (counted).
+        A PUT short of quorum is undone on every node it reached.
+        """
         if not overwrite and name in self._names:
             raise ObjectAlreadyExists(name)
         record = ObjectRecord(
@@ -369,87 +388,56 @@ class ObjectStore:
             etag=_etag(data),
             checksum=checksum_of(data),
         )
-        previous: dict[int, ObjectRecord | None] = {}
+        previous: dict[int, ObjectRecord | None] = {}  # node -> what it held
         disk_costs: list[int] = []
-        written = 0
-        touched: set[int] = set()  # nodes this PUT already wrote once
-        failed_owners: list[int] = []
-        owners = self.ring.nodes_for(name)
-        for node_id in owners:
+
+        def write_replica(node_id: int) -> bool:
+            """Write the record to one node and remember what it held."""
             node = self.nodes[node_id]
             if node.is_down:
-                failed_owners.append(node_id)
-                continue
+                return False
             old = node.peek(name)
             try:
-                cost = self._attempt(node, lambda node=node: node.write(record))
+                disk_costs.append(
+                    self._attempt(node, lambda: node.write(record))
+                )
             except _UNREACHABLE:
                 # Replica skipped: retries exhausted, node died mid-PUT,
                 # its breaker is open, or the link to it is partitioned.
-                # The quorum decides below; a later repair sweep (or a
-                # hint drain) restores full replication.
-                failed_owners.append(node_id)
-                continue
+                return False
             previous[node_id] = old
-            disk_costs.append(cost)
-            written += 1
-            touched.add(node_id)
+            return True
+
+        # Owners: a missed one is restored later by a repair sweep, or
+        # by a hint drain when a fallback below covers for it.
+        owners = self.ring.nodes_for(name)
+        missed = [nid for nid in owners if not write_replica(nid)]
+        written = len(owners) - len(missed)
         # Migration window: write through to the old epoch's owners so
         # a dual read served by either epoch observes this write.
-        # Best-effort -- the quorum is judged against the new owners
-        # only -- but an undone quorum failure rolls these back too.
         for node_id in self._migration_extras(name, owners):
-            if node_id in touched:
-                # Already written by this PUT (an overlapping placement
-                # must not write twice nor double-count the traffic).
-                continue
-            node = self.nodes[node_id]
-            if node.is_down:
-                continue
-            old = node.peek(name)
-            try:
-                cost = self._attempt(node, lambda node=node: node.write(record))
-            except _UNREACHABLE:
-                continue
-            previous[node_id] = old
-            disk_costs.append(cost)
-            touched.add(node_id)
-            self.membership.write_throughs += 1
-            if not self.tracer.noop:
-                self.tracer.event(
-                    "membership.write_through",
-                    tags={"object": name, "store_node": node_id},
-                )
-        # Sloppy quorum: with hinted handoff armed, each missed owner's
-        # payload is parked on a reachable fallback node (the next
-        # distinct nodes clockwise past the owner set) and the fallback
-        # write counts toward the quorum.  Hints are only registered
-        # after the quorum verdict -- an undone PUT parks nothing.
+            if write_replica(node_id):
+                self.membership.write_throughs += 1
+                if not self.tracer.noop:
+                    self.tracer.event(
+                        "membership.write_through",
+                        tags={"object": name, "store_node": node_id},
+                    )
+        # Sloppy quorum: each missed owner's payload is parked on the
+        # next reachable fallback clockwise past the owner set.  Hints
+        # are only registered after the quorum verdict -- an undone PUT
+        # parks nothing.
         pending_hints: list[tuple[int, int]] = []  # (home, fallback)
-        if self.hints is not None and failed_owners:
-            exclude = set(owners) | touched | set(previous)
-            candidates = self.ring.fallbacks_for(name, exclude)
-            idx = 0
-            for home in failed_owners:
-                while idx < len(candidates):
-                    fb_id = candidates[idx]
-                    idx += 1
-                    node = self.nodes[fb_id]
-                    if node.is_down or not self._link_ok(fb_id):
-                        continue
-                    old = node.peek(name)
-                    try:
-                        cost = self._attempt(
-                            node, lambda node=node: node.write(record)
-                        )
-                    except _UNREACHABLE:
-                        continue
-                    previous[fb_id] = old
-                    disk_costs.append(cost)
-                    written += 1
-                    touched.add(fb_id)
-                    pending_hints.append((home, fb_id))
-                    break
+        if self.hints is not None and missed:
+            fallbacks = iter(
+                self.ring.fallbacks_for(name, set(owners) | set(previous))
+            )
+            for home in missed:
+                for fb_id in fallbacks:
+                    if self._link_ok(fb_id) and write_replica(fb_id):
+                        pending_hints.append((home, fb_id))
+                        break
+            written += len(pending_hints)
         if written < min(self.write_quorum, len(self.ring.node_ids)):
             # Failed write: undo the partial replicas so a quorum
             # failure is atomic from the client's point of view
@@ -580,7 +568,7 @@ class ObjectStore:
         disk_costs = [0]
         # During a migration window the tombstone must reach both
         # epochs' owners, or a dual read could resurrect the object.
-        for node_id in self.maintenance_nodes_for(name):
+        for node_id in self.placement_for(name):
             node = self.nodes[node_id]
             if node.is_down or not node.peek(name):
                 continue
@@ -595,7 +583,7 @@ class ObjectStore:
         self._names.discard(name)
         if self.hints is not None:
             # The walk above already covered hint holders (they are in
-            # the maintenance set); whatever it could not reach is
+            # the placement list); whatever it could not reach is
             # unregistered garbage, not a deliverable hint.
             self.hints.drop_name(name)
         self.quarantine.pop(name, None)
@@ -630,12 +618,12 @@ class ObjectStore:
     ) -> tuple[ObjectRecord, int, int]:
         """Try replicas healthiest-first; return (record, disk_us, failovers).
 
-        Placement order is the baseline, but replicas demoted to last
-        resort come after: nodes whose circuit breaker is in quarantine,
-        and replicas of *this object* quarantined for failing checksum
-        verification.  Each per-node attempt runs under the retry
-        policy, so transient faults are masked before a failover to the
-        next replica happens at all.
+        :meth:`placement_for` order is the baseline, but replicas
+        demoted to last resort come after: nodes whose circuit breaker
+        is in quarantine, and replicas of *this object* quarantined for
+        failing checksum verification.  Each per-node attempt runs under
+        the retry policy, so transient faults are masked before a
+        failover to the next replica happens at all.
 
         With ``verify`` (payload-serving reads), every returned record
         is checked against its write-time checksum: a mismatch
@@ -646,28 +634,7 @@ class ObjectStore:
         gets :class:`CorruptObjectError` rather than garbage.
         """
         now_us = self.clock.now_us
-        placement = list(self.ring.nodes_for(name))
-        extras = self._migration_extras(name, placement)
-        if extras:
-            # Dual-ownership read: the new owners may not hold the
-            # object yet, so the old epoch's owners back them up until
-            # the partition's handoff completes.
-            placement.extend(nid for nid in extras if nid not in placement)
-            self.membership.dual_reads += 1
-            if not self.tracer.noop:
-                self.tracer.event(
-                    "membership.dual_read", tags={"object": name}
-                )
-        if self.hints is not None:
-            # Hinted copies are real, verified replicas under the real
-            # name: mid-partition reads can be served from them.  The
-            # dedup matters when a hint holder is also a dual-ownership
-            # extra -- one node must not be attempted (or counted) twice.
-            placement.extend(
-                nid
-                for nid in self.hints.holders_for(name)
-                if nid in self.nodes and nid not in placement
-            )
+        placement = self.placement_for(name, dual_read=True)
         bad = self.quarantine.get(name, set())
         preferred = [
             nid
@@ -819,34 +786,6 @@ class ObjectStore:
         from .scrub import Scrubber
 
         return Scrubber(self).scrub()
-
-    def rebalance(self) -> tuple[int, int]:
-        """Migrate replicas to match the current ring (after node churn).
-
-        Two passes, both off the client path (background-accounted):
-        :meth:`repair` writes replicas that the new placement expects
-        but the nodes lack, then stale replicas on nodes that are no
-        longer responsible are dropped.  Returns (written, dropped).
-        Models Swift's replicator converging after a ring change.
-        """
-        written = self.repair()
-        dropped = 0
-        with self._suspended_faults():
-            for name in sorted(self._names):
-                responsible = set(self.ring.nodes_for(name))
-                if self.hints is not None:
-                    # A hinted copy parked on a non-owner is not a stray:
-                    # it may be the only replica holding an acked write
-                    # until the hint drains home.
-                    responsible.update(self.hints.holders_for(name))
-                for node_id, node in self.nodes.items():
-                    if node_id in responsible or node.is_down:
-                        continue
-                    if node.peek(name) is not None:
-                        cost = node.delete(name)
-                        self.ledger.background_us += cost
-                        dropped += 1
-        return written, dropped
 
     def replica_health(self, name: str) -> tuple[int, int]:
         """(healthy replicas present, expected replicas) for an object."""

@@ -83,7 +83,7 @@ class RepairSweeper:
                 # Both epochs' owners during a migration window, so
                 # mid-rebalance healing also refreshes the old owners
                 # still serving dual reads.
-                for node_id in store.maintenance_nodes_for(name):
+                for node_id in store.placement_for(name):
                     node = store.nodes[node_id]
                     if node.is_down:
                         continue

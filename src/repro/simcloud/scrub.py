@@ -98,7 +98,7 @@ class Scrubber:
         source = None
         corrupt: list[tuple[int, object]] = []
         # Union of both epochs' owners while a migration window is open.
-        for node_id in store.maintenance_nodes_for(name):
+        for node_id in store.placement_for(name):
             node = store.nodes[node_id]
             if node.is_down:
                 continue

@@ -35,7 +35,8 @@ class TestSwiftCluster:
 
     def test_add_storage_node_joins_ring(self):
         cluster = SwiftCluster.fast()
-        node = cluster.add_storage_node()
+        node = cluster.membership.add_node()
+        cluster.membership.quiesce()
         assert node.node_id == 9
         assert node.node_id in cluster.ring.node_ids
         cluster.store.put("after-scale", b"x")

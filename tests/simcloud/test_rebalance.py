@@ -1,4 +1,9 @@
-"""Tests for replica rebalancing after ring membership changes."""
+"""Tests for replica rebalancing after a node joins the cluster.
+
+Nodes join only through :class:`~repro.simcloud.membership.ClusterMembership`:
+``add_node`` opens a migration window, ``quiesce`` drives its handoff
+to completion and drops the replicas the old epoch no longer owns.
+"""
 
 import pytest
 
@@ -16,7 +21,8 @@ def loaded_cluster() -> SwiftCluster:
 class TestRebalance:
     def test_scale_out_then_rebalance_heals_placement(self, loaded_cluster):
         cluster = loaded_cluster
-        cluster.add_storage_node()
+        before = {nid: node.object_count for nid, node in cluster.nodes.items()}
+        node = cluster.membership.add_node()
         # Directly after the ring change some objects' replica sets
         # reference the new node, which holds nothing yet.
         degraded = sum(
@@ -25,7 +31,12 @@ class TestRebalance:
             if cluster.store.replica_health(name)[0] < 3
         )
         assert degraded > 0
-        written, dropped = cluster.store.rebalance()
+        cluster.membership.quiesce()
+        written = node.object_count
+        dropped = sum(
+            count - cluster.nodes[nid].object_count
+            for nid, count in before.items()
+        )
         assert written >= degraded
         assert dropped >= degraded  # stale copies left the old nodes
         for name in cluster.store.names():
@@ -34,8 +45,8 @@ class TestRebalance:
 
     def test_no_stale_replicas_after_rebalance(self, loaded_cluster):
         cluster = loaded_cluster
-        cluster.add_storage_node()
-        cluster.store.rebalance()
+        cluster.membership.add_node()
+        cluster.membership.quiesce()
         for name in cluster.store.names():
             responsible = set(cluster.ring.nodes_for(name))
             holders = {
@@ -47,33 +58,48 @@ class TestRebalance:
 
     def test_new_node_receives_fair_share(self, loaded_cluster):
         cluster = loaded_cluster
-        node = cluster.add_storage_node()
-        cluster.store.rebalance()
+        node = cluster.membership.add_node()
+        cluster.membership.quiesce()
         # ~1/9 of 360 replicas, very loosely bounded.
         assert node.object_count > 5
 
     def test_rebalance_idempotent(self, loaded_cluster):
         cluster = loaded_cluster
-        cluster.add_storage_node()
-        cluster.store.rebalance()
-        written, dropped = cluster.store.rebalance()
-        assert (written, dropped) == (0, 0)
+        cluster.membership.add_node()
+        cluster.membership.quiesce()
+        stats = cluster.storage_stats()
+        background_us = cluster.store.ledger.background_us
+        cluster.membership.quiesce()
+        # A second pass finds nothing to copy in and nothing to drop.
+        assert cluster.store.repair() == 0
+        assert cluster.membership.release_stray_replicas() == 0
+        assert cluster.storage_stats() == stats
+        assert cluster.store.ledger.background_us == background_us
 
     def test_data_readable_throughout(self, loaded_cluster):
         cluster = loaded_cluster
-        cluster.add_storage_node()
-        assert cluster.store.get("obj/000").data  # degraded but readable
-        cluster.store.rebalance()
-        for i in range(0, 120, 17):
-            assert cluster.store.get(f"obj/{i:03d}").data
+        names = sorted(cluster.store.names())
+        cluster.membership.add_node()
+        # Mid-window the new owners may hold nothing yet; dual reads fall
+        # back to the old epoch's owners.
+        for name in names:
+            assert cluster.store.get(name).data
+        assert cluster.membership.dual_reads > 0
+        cluster.membership.sweeper.step(max_objects=4)
+        assert cluster.membership.in_transition
+        for name in names:
+            assert cluster.store.get(name).data
+        cluster.membership.quiesce()
+        for name in names:
+            assert cluster.store.get(name).data
 
     def test_rebalance_cost_is_background(self):
         cluster = SwiftCluster.rack_scale()
         for i in range(30):
             cluster.store.put(f"o{i}", b"x" * 100)
-        cluster.add_storage_node()
+        cluster.membership.add_node()
         t = cluster.clock.now_us
         bg = cluster.store.ledger.background_us
-        cluster.store.rebalance()
+        cluster.membership.quiesce()
         assert cluster.clock.now_us == t
         assert cluster.store.ledger.background_us > bg
