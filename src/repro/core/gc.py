@@ -199,8 +199,8 @@ class GarbageCollector:
         digests disagree with the stored manifest the manifest is
         rewritten -- even if no tombstone needed stripping.
         """
-        store = self._mw.store
-        policy = self._mw.shard_policy
+        mw = self._mw
+        store = mw.store
         compacted = 0
         for ns in ring_nss:
             try:
@@ -212,18 +212,13 @@ class GarbageCollector:
                     store,
                     ns,
                     loaded.ring.compacted(),
-                    policy,
+                    mw.shard_policy,
                     loaded.manifest,
+                    mw.ring_counters,
                 )
                 compacted += 1
-            elif loaded.manifest is not None:
-                healed = shards.manifest_of(
-                    loaded.shards, epoch=loaded.manifest.epoch
-                )
-                if healed != loaded.manifest:
-                    store.put(
-                        namering_key(ns), formatter.dumps_manifest(healed)
-                    )
+            else:
+                shards.heal_manifest(store, ns, loaded)
         # Caches may still hold tombstoned versions; refresh loaded rings.
         network = self._mw.network
         peers = network.members if network is not None else [self._mw]

@@ -7,12 +7,13 @@ version, (c) running the NameRing merging algorithm, and (d) writing
 the merged ring back -- after which the node has its local (eventually
 consistent) version and the patch objects can be retired.
 
-Steps (b)-(d) are shard-aware: when the stored ``nr:`` object is a
-:class:`~repro.core.formatter.ShardManifest`, the read-merge-write in
-``H2Middleware.store_ring_merged`` touches only the shards whose
-digests differ from the merger's local view (see
-:mod:`repro.core.shards`), so draining a one-name patch against a
-500k-entry directory moves one shard's bytes, not the whole ring.
+Steps (b)-(d) are ``H2Middleware.store_ring_merged``, the one
+read-merge-write over the stored ring's write units
+(:func:`repro.core.shards.merge_write`): a monolithic ring is one unit,
+a sharded ring's dirty units are the shards holding a patched name, and
+a shard whose digest matches the merger's local view is skipped -- so
+draining a one-name patch against a 500k-entry directory moves one
+shard's bytes, not the whole ring.
 
 Cost accounting: when a merge runs as *background* work its store
 traffic is measured and booked to ``ledger.background_us`` instead of

@@ -75,7 +75,7 @@ class H2Config:
     group_commit_window_us: int = 500_000  # sim-clock group window
     gossip_digests: bool = False  # rumor coalescing + digest anti-entropy
     memoize_serialization: bool = False  # elide PUTs of byte-identical rings
-    # --- sharded NameRings (docs/PROTOCOL.md §11), default-off so the
+    # --- sharded NameRings (docs/PROTOCOL.md §14), default-off so the
     # committed DST corpus digests stay byte-identical flags-off ---
     sharded_rings: bool = False  # split giant rings into hashed shards
     shard_split_threshold: int = 1024  # tuples before a ring splits
@@ -207,19 +207,19 @@ class H2Middleware:
         self._patches_coalesced = self.metrics.counter(
             "traffic.patches_coalesced"
         )
-        self._put_elisions = self.metrics.counter("traffic.put_elisions")
         self._digest_skips = self.metrics.counter("traffic.digest_skips")
-        # Sharded-ring telemetry: layout transitions plus the per-shard
-        # write-back's touched/skipped split (docs/PROTOCOL.md §11).
+        # Ring write-back telemetry (docs/PROTOCOL.md §14), GC's layout
+        # transitions included; the monolithic ring is not a shard.
         self.shard_policy = self.config.shard_policy()
-        self._shard_counters = {
+        self.ring_counters = {
             "split": self.metrics.counter("shard.splits"),
             "collapse": self.metrics.counter("shard.collapses"),
             "reshard": self.metrics.counter("shard.reshards"),
+            "get": self.metrics.counter("shard.shard_gets"),
             "put": self.metrics.counter("shard.shard_puts"),
             "skip": self.metrics.counter("shard.shard_skips"),
+            "elide": self.metrics.counter("traffic.put_elisions"),
         }
-        self._shard_gets = self.metrics.counter("shard.shard_gets")
         self.monitor = Monitor(self)
         self._merge_block = 0  # §3.3.3b: >0 while a file stream is open
         # Elastic membership: the cluster epoch this middleware has
@@ -262,7 +262,9 @@ class H2Middleware:
         if fd.loaded and use_cache and not fd.stale:
             return fd
         try:
-            loaded = shards.read_stored(self.store, ns, fan_out=True)
+            loaded = shards.read_stored(
+                self.store, ns, fan_out=True, counters=self.ring_counters
+            )
             stored = loaded.ring
         except ObjectNotFound:
             raise PathNotFound(f"<namespace {ns}>") from None
@@ -276,8 +278,6 @@ class H2Middleware:
                 return fd
             raise
         fd.layout = loaded.manifest
-        if loaded.manifest is not None:
-            self._shard_gets.inc(loaded.manifest.shard_count)
         # Merge, don't replace: local unmerged updates must survive.
         merged = fd.ring.merge(stored)
         if merged is not fd.ring:
@@ -305,7 +305,7 @@ class H2Middleware:
             fd.ring,
             self.shard_policy,
             fd.layout,
-            self._shard_counters,
+            self.ring_counters,
         )
         fd.merged_version = fd.ring.version
         fd.dirty_names.clear()
@@ -326,155 +326,25 @@ class H2Middleware:
         every other child durably.  Merging the stored version first
         makes the write-back monotone.
 
-        ``extra`` is merged in *after* the stored version -- the
-        merger's folded patch chain rides through here so its write
-        lands on the same monotone path.  ``strict`` controls the
-        outage contract: the gossip callers swallow a :class:`QuorumError`
-        (the merge stays cache-only and a later sweep persists it), the
-        merger must *not* drain its chain on a failed read, so it
-        propagates.  Nothing is mutated before the GET settles either
-        way.
-
-        With ``memoize_serialization`` on, a write-back whose serialized
-        form is byte-identical to what the store already holds is elided
-        entirely (the CRC-memoized dump makes the comparison cheap).
-
-        When the stored layout is sharded, the read-merge-write runs
-        *per shard*: only the shards holding locally-changed names
-        (``extra``'s children plus ``fd.dirty_names``) are fetched,
-        merged and rewritten, and even those are skipped outright when
-        the local shard's digest matches the stored manifest's -- a
-        one-child merge into an m-entry directory touches one shard,
-        not m tuples (docs/PROTOCOL.md §11).
+        ``extra`` -- the merger's folded patch chain -- rides through
+        here so its write lands on the same monotone path, which runs
+        over the stored layout's write units
+        (:func:`repro.core.shards.merge_write`, docs/PROTOCOL.md §14).
+        ``strict`` controls the outage contract: the gossip callers
+        swallow a :class:`QuorumError` on a read (the merge stays
+        cache-only and a later sweep persists it), the merger must
+        *not* drain its chain on a failed read, so it propagates.
         """
-        try:
-            record = self.store.get(namering_key(fd.ns))
-        except ObjectNotFound:
-            record = None
-        except QuorumError:
-            if strict:
-                raise
-            return
-        if record is not None and formatter.is_manifest(record.data):
-            manifest = formatter.loads_manifest(record.data)
-            self._merge_write_sharded(fd, manifest, extra, strict)
-            return
-        stored = formatter.loads_ring(record.data) if record is not None else None
-        fd.layout = None
-        if stored is not None:
-            merged = fd.ring.merge(stored)
-            if merged is not fd.ring:
-                fd.ring = merged
-                if fd.negative:
-                    fd.negative.clear()
-        if extra is not None:
-            fd.ring = fd.ring.merge(extra)
-        if (
-            self.config.memoize_serialization
-            and record is not None
-            and formatter.dumps_ring(fd.ring) == record.data
-        ):
-            # The store already holds these exact bytes: skip the PUT.
-            self._put_elisions.inc()
-            fd.merged_version = fd.ring.version
-            fd.dirty_names.clear()
-            return
-        self.store_ring(fd)
-
-    def _merge_write_sharded(
-        self,
-        fd: FileDescriptor,
-        manifest,
-        extra: NameRing | None,
-        strict: bool,
-    ) -> None:
-        """The sharded read-merge-write behind :meth:`store_ring_merged`.
-
-        Dirty shards are those holding a name from ``extra`` or
-        ``fd.dirty_names``.  Per dirty shard: if the local shard's
-        digest equals the stored one there is nothing to exchange
-        (skip, no GET); otherwise GET, merge both ways (stored tuples
-        are absorbed into the cache), and PUT only when the merged
-        bytes differ.  Untouched shards keep their stored digests.
-        Layout transitions (collapse/reshard) are detected from the
-        updated manifest's totals and delegated to a full-state
-        :meth:`store_ring`.
-        """
-        count, epoch = manifest.shard_count, manifest.epoch
-        pending = set(fd.dirty_names)
-        if extra is not None:
-            pending.update(extra.children)
-            fd.ring = fd.ring.merge(extra)
-        dirty = {shards.shard_of(name, count) for name in pending}
-        local = shards.extract_shards(fd.ring, count, dirty)
-        digests = list(manifest.digests)
-        absorbed: dict[str, Child] = {}
-        for k in sorted(dirty):
-            local_shard = local[k]
-            local_digest = shards.digest_of(local_shard)
-            if local_digest == digests[k]:
-                # Cache and store agree on this shard: nothing to do.
-                self._shard_counters["skip"].inc()
-                continue
-            key = shards.ring_shard_key(fd.ns, epoch, k)
-            try:
-                shard_record = self.store.get(key)
-                stored_shard = formatter.loads_shard(shard_record.data)
-            except ObjectNotFound:
-                shard_record, stored_shard = None, NameRing.empty()
-            except QuorumError:
-                if strict:
-                    raise
-                return  # partial progress is safe: writes are monotone
-            self._shard_gets.inc()
-            merged_shard = local_shard.merge(stored_shard)
-            absorbed.update(stored_shard.children)
-            data = formatter.dumps_shard(merged_shard)
-            if shard_record is not None and data == shard_record.data:
-                self._shard_counters["skip"].inc()
-            else:
-                self.store.put(key, data)
-                self._shard_counters["put"].inc()
-            digests[k] = shards.digest_of(merged_shard)
-        if absorbed:
-            merged, _ = fd.ring.merge_changes(NameRing(children=absorbed))
-            if merged is not fd.ring:
-                fd.ring = merged
-                if fd.negative:
-                    fd.negative.clear()
-        new_manifest = formatter.ShardManifest(
-            shard_count=count, epoch=epoch, digests=tuple(digests)
+        shards.merge_write(
+            self.store,
+            fd,
+            extra,
+            self.shard_policy,
+            self.store_ring,
+            strict=strict,
+            elide=self.config.memoize_serialization,
+            counters=self.ring_counters,
         )
-        total = new_manifest.total_entries
-        policy = self.shard_policy
-        if not policy.enabled or policy.should_collapse(total) or (
-            policy.desired_count(total) > count
-        ):
-            # Layout boundary crossed: take the full-state path.  The
-            # whole ring must be known first -- the cache may never
-            # have seen shards it had no dirty names in.
-            try:
-                loaded = shards.read_stored(self.store, fd.ns, fan_out=True)
-            except ObjectNotFound:
-                loaded = None
-            except QuorumError:
-                if strict:
-                    raise
-                return  # shards already written are monotone-safe
-            if loaded is not None:
-                fd.ring = fd.ring.merge(loaded.ring)
-                fd.layout = loaded.manifest
-            self.store_ring(fd)
-        else:
-            if new_manifest != manifest:
-                self.store.put(
-                    namering_key(fd.ns),
-                    formatter.dumps_manifest(new_manifest),
-                )
-            fd.layout = new_manifest
-            fd.merged_version = fd.ring.version
-            fd.dirty_names.difference_update(pending)
-        fd.loaded = True
 
     def submit_patch(self, ns: Namespace, entries: list[Child]) -> Patch:
         """Phase 1: PUT the patch object and chain it locally.
@@ -859,13 +729,9 @@ class H2Middleware:
             fd = self.load_ring(root, use_cache=False)
             if len(fd.view()) > 0:
                 raise DirectoryNotEmpty(f"<account {account}>")
-        if self.shard_policy.enabled:
-            # The root ring may be a manifest: drop its shard payloads
-            # too, not just the nr: object.  (Gated so flag-off runs
-            # keep the exact historical request sequence.)
-            shards.delete_stored(self.store, root)
-        else:
-            self.store.delete(namering_key(root), missing_ok=True)
+        # Delete by the stored layout, not this node's config: a root
+        # ring sharded by another middleware drops its payloads too.
+        shards.delete_stored(self.store, root)
         self.store.delete(directory_key(root), missing_ok=True)
         self.store.accounts.discard(account)
         self.fd_cache.purge(root)
@@ -1243,7 +1109,7 @@ class H2Middleware:
             merged,
             self.shard_policy,
             loaded.manifest,
-            self._shard_counters,
+            self.ring_counters,
         )
         fd.merged_version = fd.ring.version
 

@@ -161,7 +161,7 @@ def namering_key(ns: Namespace) -> str:
 
 
 def ring_shard_key(ns: Namespace, epoch: int, shard: int) -> str:
-    """One shard payload of a sharded NameRing (docs/PROTOCOL.md §11).
+    """One shard payload of a sharded NameRing (docs/PROTOCOL.md §14).
 
     The key keeps the ``nr:`` prefix so GC/fsck prefix walks cover
     shard payloads without a second scan, and carries the manifest

@@ -9,8 +9,11 @@ digests -- :class:`~repro.core.formatter.ShardManifest`) and the child
 tuples move into per-shard payload objects keyed by a hash of the
 child name (:func:`~repro.core.namespace.ring_shard_key`).  A merge or
 gossip exchange then touches only the shards whose digests differ.
+Either way the stored ring is a :class:`Layout` of write units plus a
+commit; the monolithic ring is the one-unit layout, and
+:func:`merge_write` is the one read-merge-write over both.
 
-Layout transitions (docs/PROTOCOL.md §11):
+Layout transitions (docs/PROTOCOL.md §14):
 
 * **split** (mono -> sharded): write every shard payload first, then
   flip the ``nr:`` object from ring bytes to the manifest.  The
@@ -73,8 +76,9 @@ class ShardPolicy:
         return self.enabled and entries >= self.split_threshold
 
     def should_collapse(self, entries: int) -> bool:
-        """Sharded -> mono once well below the split point (hysteresis)."""
-        return entries <= self.merge_threshold
+        """Sharded -> mono once well below the split point (hysteresis),
+        or whenever sharding is off."""
+        return not self.enabled or entries <= self.merge_threshold
 
     def desired_count(self, entries: int) -> int:
         """Power-of-two shard count aiming at ``target_entries`` each."""
@@ -132,9 +136,51 @@ def manifest_of(shards: list[NameRing], epoch: int) -> ShardManifest:
 
 
 # ----------------------------------------------------------------------
-# stored-ring IO: the one reader/writer GC, fsck, the merger and the
-# middleware all share
+# stored-ring IO: a directory's ring as write units plus a commit -- the
+# one reader/writer GC, fsck, the merger and the middleware all share
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Layout:
+    """A directory's stored ring as write units plus a commit.
+
+    The monolithic ring is the one-unit layout (``manifest`` None): its
+    unit is the ``nr:<ns>`` object itself, with no manifest and no
+    digest, and ``head`` is its ``(bytes, ring)`` as read.  A sharded
+    layout's units are its epoch's payloads, committed by the manifest.
+    """
+
+    ns: Namespace
+    manifest: ShardManifest | None = None
+    head: tuple[bytes | None, NameRing] = (None, NameRing.empty())
+
+    def key(self, k: int) -> str:
+        if self.manifest is None:
+            return namering_key(self.ns)
+        return ring_shard_key(self.ns, self.manifest.epoch, k)
+
+    def fetch(self, store: ObjectStore, k: int, counters=None):
+        """Unit ``k``'s stored ``(bytes, ring)``; absent bytes are None
+        and read as an empty ring.  The one unit came with the layout."""
+        if self.manifest is None:
+            return self.head
+        try:
+            data = store.get(self.key(k)).data
+            unit = data, formatter.loads_shard(data)
+        except ObjectNotFound:
+            unit = None, NameRing.empty()
+        _bump(counters, "get")
+        return unit
+
+
+def open_layout(store: ObjectStore, ns: Namespace) -> Layout:
+    """GET the ``nr:`` object (:class:`ObjectNotFound` if missing) and
+    parse what it holds: a manifest, or the one unit's ring."""
+    data = store.get(namering_key(ns)).data
+    if formatter.is_manifest(data):
+        return Layout(ns, formatter.loads_manifest(data))
+    return Layout(ns, head=(data, formatter.loads_ring(data)))
+
+
 @dataclass
 class StoredRing:
     """What the store holds for one directory right now.
@@ -151,7 +197,7 @@ class StoredRing:
 
 
 def read_stored(
-    store: ObjectStore, ns: Namespace, fan_out: bool = False
+    store: ObjectStore, ns: Namespace, fan_out: bool = False, counters=None
 ) -> StoredRing:
     """Read a directory's ring, seeing through the manifest if sharded.
 
@@ -165,12 +211,11 @@ def read_stored(
     ``fan_out=True`` issues the shard GETs through the store's
     connection pool so a cold load of a giant directory costs the
     makespan, not ``k`` serial RTTs; maintenance walkers keep the
-    sequential path.
+    sequential path.  ``counters["get"]`` counts the shard GETs.
     """
-    record = store.get(namering_key(ns))
-    if not formatter.is_manifest(record.data):
-        return StoredRing(ring=formatter.loads_ring(record.data), manifest=None)
-    manifest = formatter.loads_manifest(record.data)
+    layout = open_layout(store, ns)
+    if layout.manifest is None:
+        return StoredRing(ring=layout.head[1], manifest=None)
 
     def fetch(key: str):
         try:
@@ -180,10 +225,7 @@ def read_stored(
         except QuorumError as exc:
             return ("error", exc)
 
-    keys = [
-        ring_shard_key(ns, manifest.epoch, k)
-        for k in range(manifest.shard_count)
-    ]
+    keys = shard_keys(ns, layout.manifest)
     if fan_out:
         outcomes = store.parallel([lambda key=key: fetch(key) for key in keys])
     else:
@@ -199,8 +241,9 @@ def read_stored(
         shard = formatter.loads_shard(payload)
         shards.append(shard)
         merged.update(shard.children)
+    _bump(counters, "get", len(keys))
     return StoredRing(
-        ring=NameRing(children=merged), manifest=manifest, shards=shards
+        ring=NameRing(children=merged), manifest=layout.manifest, shards=shards
     )
 
 
@@ -222,22 +265,10 @@ def write_stored(
     actually changed.  Returns the manifest now stored (None = mono).
     """
     entries = len(ring.children)
-    if stored is None:
-        if not policy.should_split(entries):
-            store.put(namering_key(ns), formatter.dumps_ring(ring))
-            return None
-        # split: payloads first, manifest flip commits
-        count = policy.desired_count(entries)
-        shards = split_ring(ring, count)
-        for k, shard in enumerate(shards):
-            store.put(ring_shard_key(ns, 1, k), formatter.dumps_shard(shard))
-            _bump(counters, "put")
-        manifest = manifest_of(shards, epoch=1)
-        store.put(namering_key(ns), formatter.dumps_manifest(manifest))
-        _bump(counters, "split")
-        return manifest
-
-    if not policy.enabled or policy.should_collapse(entries):
+    if stored is None and not policy.should_split(entries):
+        store.put(namering_key(ns), formatter.dumps_ring(ring))
+        return None
+    if stored is not None and policy.should_collapse(entries):
         # collapse: ring bytes over nr: commit, then drop the payloads
         store.put(namering_key(ns), formatter.dumps_ring(ring))
         _delete_shards(store, ns, stored)
@@ -245,9 +276,11 @@ def write_stored(
         return None
 
     count = policy.desired_count(entries)
-    if count > stored.shard_count:
-        # reshard (grow): new epoch's payloads, manifest flip, cleanup
-        epoch = stored.epoch + 1
+    if stored is None or count > stored.shard_count:
+        # split (epoch 1) or reshard (grow, epoch + 1): the new epoch's
+        # payloads first, the manifest flip commits, then the old
+        # epoch's payloads go
+        epoch = 1 if stored is None else stored.epoch + 1
         shards = split_ring(ring, count)
         for k, shard in enumerate(shards):
             store.put(
@@ -256,8 +289,11 @@ def write_stored(
             _bump(counters, "put")
         manifest = manifest_of(shards, epoch=epoch)
         store.put(namering_key(ns), formatter.dumps_manifest(manifest))
-        _delete_shards(store, ns, stored)
-        _bump(counters, "reshard")
+        if stored is None:
+            _bump(counters, "split")
+        else:
+            _delete_shards(store, ns, stored)
+            _bump(counters, "reshard")
         return manifest
 
     # steady state: same count/epoch, rewrite only what changed
@@ -273,36 +309,151 @@ def write_stored(
             ring_shard_key(ns, stored.epoch, k), formatter.dumps_shard(shard)
         )
         _bump(counters, "put")
-    manifest = ShardManifest(
-        shard_count=stored.shard_count,
-        epoch=stored.epoch,
-        digests=tuple(digests),
-    )
-    if manifest != stored:
-        store.put(namering_key(ns), formatter.dumps_manifest(manifest))
-    return manifest
+    return _commit(store, ns, stored, digests)
+
+
+def merge_write(
+    store: ObjectStore,
+    fd,
+    extra: NameRing | None,
+    policy: ShardPolicy,
+    write_full,
+    strict: bool = False,
+    elide: bool = False,
+    counters=None,
+) -> None:
+    """Read-merge-write descriptor ``fd``'s ring over its stored units.
+
+    ``extra`` is merged into the cached ring once.  Each dirty unit --
+    holding a name of ``extra`` or ``fd.dirty_names``; the one unit
+    always -- is skipped if its local digest equals the stored one,
+    else fetched, absorbed into the cache and, if a shard, PUT merged
+    unless its bytes are unchanged.  Then the manifest commits, or
+    ``write_full(fd)`` writes the whole ring: the one unit's write is
+    its commit (skipped if ``elide`` and its bytes are unchanged), and
+    so is a split, reshard or collapse.  A read's QuorumError stops the
+    write-back (safe: writes are monotone) or, if ``strict``, raises.
+    """
+    try:
+        layout = open_layout(store, fd.ns)
+    except ObjectNotFound:
+        layout = Layout(fd.ns)
+    except QuorumError:
+        if strict:
+            raise
+        return
+    pending = set(fd.dirty_names)
+    if extra is not None:
+        pending.update(extra.children)
+        fd.ring = fd.ring.merge(extra)
+    stored = layout.manifest
+    if stored is None:
+        units = [(0, fd.ring)]
+    else:
+        count, digests = stored.shard_count, list(stored.digests)
+        dirty = {shard_of(name, count) for name in pending}
+        units = sorted(extract_shards(fd.ring, count, dirty).items())
+    absorbed: list[NameRing] = []
+    for k, local in units:
+        if stored is not None and digest_of(local) == digests[k]:
+            _bump(counters, "skip")
+            continue
+        try:
+            data, ring = layout.fetch(store, k, counters)
+        except QuorumError:
+            if strict:
+                raise
+            return
+        if data is not None:
+            absorbed.append(ring)
+        if stored is None:
+            continue  # the commit writes the one unit
+        merged = local.merge(ring)
+        payload = formatter.dumps_shard(merged)
+        if payload == data:
+            _bump(counters, "skip")
+        else:
+            store.put(layout.key(k), payload)
+            _bump(counters, "put")
+        digests[k] = digest_of(merged)
+    if absorbed:
+        # Units are name-disjoint; a lone unit is absorbed uncopied.
+        union = absorbed[0]
+        if len(absorbed) > 1:
+            union = NameRing(
+                children={n: c for r in absorbed for n, c in r.children.items()}
+            )
+        merged, _ = fd.ring.merge_changes(union)
+        if merged is not fd.ring:
+            fd.ring = merged
+            if fd.negative:
+                fd.negative.clear()
+    if stored is None:
+        head = layout.head[0]
+        if elide and head is not None and formatter.dumps_ring(fd.ring) == head:
+            _bump(counters, "elide")
+            manifest = None
+        else:
+            fd.layout = None
+            return write_full(fd)
+    else:
+        total = sum(digest.entries for digest in digests)
+        if policy.should_collapse(total) or policy.desired_count(total) > count:
+            # A reshard or collapse rewrites every unit: the cache must
+            # first see the shards it had no dirty names in.
+            try:
+                loaded = read_stored(store, fd.ns, fan_out=True)
+            except ObjectNotFound:
+                loaded = None
+            except QuorumError:
+                if strict:
+                    raise
+                return
+            if loaded is not None:
+                fd.ring = fd.ring.merge(loaded.ring)
+                fd.layout = loaded.manifest
+            return write_full(fd)
+        manifest = _commit(store, fd.ns, stored, digests)
+    fd.layout = manifest
+    fd.merged_version = fd.ring.version
+    fd.dirty_names.difference_update(pending)
 
 
 def delete_stored(store: ObjectStore, ns: Namespace) -> None:
     """Delete a directory's ring object and any shard payloads."""
     try:
-        record = store.get(namering_key(ns))
-    except ObjectNotFound:
-        record = None
-    if record is not None and formatter.is_manifest(record.data):
-        try:
-            _delete_shards(store, ns, formatter.loads_manifest(record.data))
-        except formatter.FormatError:
-            pass  # unparseable manifest: orphan payloads go to GC
+        manifest = open_layout(store, ns).manifest
+    except (ObjectNotFound, formatter.FormatError):
+        manifest = None  # absent or unparseable: orphan payloads go to GC
+    if manifest is not None:
+        _delete_shards(store, ns, manifest)
     store.delete(namering_key(ns), missing_ok=True)
+
+
+def heal_manifest(
+    store: ObjectStore, ns: Namespace, loaded: StoredRing
+) -> None:
+    """Rewrite a manifest whose digests lag its shard payloads (a
+    write-back that raced an outage); the one unit has no manifest."""
+    if loaded.manifest is not None:
+        _commit(store, ns, loaded.manifest, map(digest_of, loaded.shards))
+
+
+def _commit(
+    store: ObjectStore, ns: Namespace, stored: ShardManifest, digests
+) -> ShardManifest:
+    """``stored``'s shards with new ``digests``, committed by a manifest
+    PUT if any digest moved."""
+    manifest = ShardManifest(stored.shard_count, stored.epoch, tuple(digests))
+    if manifest != stored:
+        store.put(namering_key(ns), formatter.dumps_manifest(manifest))
+    return manifest
 
 
 def shard_keys(ns: Namespace, manifest: ShardManifest) -> list[str]:
     """Every payload key the manifest's current epoch points at."""
-    return [
-        ring_shard_key(ns, manifest.epoch, k)
-        for k in range(manifest.shard_count)
-    ]
+    layout = Layout(ns, manifest)
+    return [layout.key(k) for k in range(manifest.shard_count)]
 
 
 def _delete_shards(
@@ -312,8 +463,8 @@ def _delete_shards(
         store.delete(key, missing_ok=True)
 
 
-def _bump(counters, event: str) -> None:
+def _bump(counters, event: str, amount: int = 1) -> None:
     if counters is not None:
         counter = counters.get(event)
         if counter is not None:
-            counter.inc()
+            counter.inc(amount)

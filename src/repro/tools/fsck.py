@@ -42,13 +42,7 @@ from dataclasses import dataclass, field
 
 from ..core import formatter, shards
 from ..core.namering import KIND_DIR, NameRing
-from ..core.namespace import (
-    Namespace,
-    directory_key,
-    file_key,
-    namering_key,
-    ring_shard_key,
-)
+from ..core.namespace import Namespace, directory_key, file_key, namering_key
 from ..simcloud.errors import CorruptObjectError, ObjectNotFound
 from ..simcloud.integrity import verify_record
 
@@ -160,7 +154,7 @@ class H2Fsck:
 
     def _load_ring(self, ns, report, reachable):
         try:
-            data = self._store.get(namering_key(ns)).data
+            layout = shards.open_layout(self._store, ns)
         except ObjectNotFound:
             report.errors.append(f"I2 {ns}: NameRing missing")
             return None
@@ -169,45 +163,37 @@ class H2Fsck:
                 f"I8 {ns}: NameRing unrecoverable (no verified replica)"
             )
             return None
-        if formatter.is_manifest(data):
-            return self._load_sharded_ring(ns, data, report, reachable)
-        try:
-            return formatter.loads_ring(data)
         except formatter.FormatError as exc:
             report.errors.append(f"I2 {ns}: unparseable NameRing ({exc})")
-        return None
-
-    def _load_sharded_ring(self, ns, data, report, reachable):
-        """I9: verify shard structure and reassemble the full ring."""
-        try:
-            manifest = formatter.loads_manifest(data)
-        except formatter.FormatError as exc:
-            report.errors.append(f"I2 {ns}: unparseable manifest ({exc})")
             return None
-        count = manifest.shard_count
+        if layout.manifest is None:
+            return layout.head[1]
+        return self._load_sharded_ring(ns, layout, report, reachable)
+
+    def _load_sharded_ring(self, ns, layout, report, reachable):
+        """I9: verify shard structure and reassemble the full ring."""
+        count = layout.manifest.shard_count
         merged: dict = {}
         seen: dict[str, int] = {}
         for k in range(count):
-            key = ring_shard_key(ns, manifest.epoch, k)
+            key = layout.key(k)
             reachable.add(key)
             try:
-                payload = self._store.get(key).data
-            except ObjectNotFound:
-                report.errors.append(f"I9 {ns}: shard {k}/{count} missing")
-                continue
+                payload, shard = layout.fetch(self._store, k)
             except CorruptObjectError:
                 report.corrupt_replicas.append(
                     f"I8 {key}: shard unrecoverable (no verified replica)"
                 )
                 continue
-            try:
-                shard = formatter.loads_shard(payload)
             except formatter.FormatError as exc:
                 report.errors.append(
                     f"I9 {ns}: unparseable shard {k} ({exc})"
                 )
                 continue
-            if shards.digest_of(shard) != manifest.digests[k]:
+            if payload is None:
+                report.errors.append(f"I9 {ns}: shard {k}/{count} missing")
+                continue
+            if shards.digest_of(shard) != layout.manifest.digests[k]:
                 report.stale_manifests.append(
                     f"{ns}: manifest digest lags shard {k}"
                 )

@@ -8,8 +8,8 @@ collapse after deletes + GC, fsck's I9 walker, and account teardown.
 
 import pytest
 
-from repro.core import H2CloudFS, H2Config, formatter, shards
-from repro.core.namespace import namering_key
+from repro.core import H2CloudFS, H2Config, H2Middleware, formatter, shards
+from repro.core.namespace import Namespace, namering_key
 from repro.simcloud import SwiftCluster
 from repro.tools.fsck import H2Fsck
 
@@ -107,6 +107,16 @@ class TestShardedLifecycle:
         assert not formatter.is_manifest(data)
         assert fs.listdir("/big") == names[:2]
 
+    def test_gc_collapse_is_counted(self):
+        fs = sharded_fs(middlewares=1)
+        names = populate(fs, 12)
+        for name in names[2:]:
+            fs.delete(f"/big/{name}")
+        fs.pump()
+        fs.gc()
+        collapses = fs.middlewares[0].metrics.counter("shard.collapses")
+        assert collapses.value == 1
+
     def test_fsck_clean_and_shards_reachable(self):
         fs = sharded_fs()
         populate(fs, 20)
@@ -181,6 +191,19 @@ class TestShardedLifecycle:
         fs.gc()
         leftover = [n for n in fs.store.names() if n.startswith("nr:")]
         assert leftover == []
+
+    def test_unsharded_node_deletes_a_sharded_account(self):
+        """Deletion follows the stored layout, not the deleting node's
+        config: a sharding-off middleware drops the payloads too."""
+        fs = sharded_fs(middlewares=1)
+        fs.write_many("/", [(f"f{i:04d}", b"x") for i in range(12)])
+        fs.pump()
+        root = Namespace.root("alice")
+        assert formatter.is_manifest(fs.store.get(namering_key(root)).data)
+        plain = H2Middleware(7, fs.store, H2Config())
+        plain.delete_account("alice", force=True)
+        prefix = namering_key(root)
+        assert [n for n in fs.store.names() if n.startswith(prefix)] == []
 
     def test_deep_tree_with_one_giant_level(self):
         fs = sharded_fs()
