@@ -54,6 +54,7 @@ from ..workloads.scenarios import (
     scenario_spec_of,
     seed_layout,
 )
+from ..dst.layers import Layers, layers_arg
 from ..dst.oracle import InvariantViolation
 from ..dst.runner import _MUTATORS, ACCOUNT, RunResult, _Run, _result
 from ..dst.schedule import Schedule
@@ -645,14 +646,10 @@ def scenario_main(argv: list[str]) -> int:
     )
     parser.add_argument("--tier", default="smoke", choices=sorted(TIERS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--faulty", action="store_true",
-                        help="arm transient faults and node crashes")
-    parser.add_argument("--corruption", action="store_true",
-                        help="arm bit-rot/torn writes and scrubbing")
-    parser.add_argument("--membership", action="store_true",
-                        help="weave join/drain/remove + live rebalancing")
-    parser.add_argument("--traffic", action="store_true",
-                        help="enable the traffic-reduction middleware flags")
+    parser.add_argument("--layers", type=layers_arg, default=Layers(),
+                        metavar="L",
+                        help="failure layers at scenario rates, e.g. "
+                        "faulty+membership (default: none; no sharded)")
     parser.add_argument("--telemetry", action="store_true",
                         help="capture traces + timeline; adds the "
                         "tail_attribution and timeline artifact sections")
@@ -682,12 +679,10 @@ def scenario_main(argv: list[str]) -> int:
     else:
         if not args.name:
             parser.error("scenario name required (or --replay/--list)")
-        env = scenario_env(
-            faulty=args.faulty,
-            corruption=args.corruption,
-            membership=args.membership,
-            traffic=args.traffic,
-        )
+        try:
+            env = scenario_env(args.layers)
+        except ValueError as exc:
+            parser.error(str(exc))
         spec = build_scenario(
             args.name, tier=args.tier, seed=args.seed, env=env
         )

@@ -595,7 +595,10 @@ class H2Middleware:
                 # back before announcing), so absorb from the store.
                 try:
                     loaded = shards.read_stored(
-                        self.store, rumor.ns, fan_out=True
+                        self.store,
+                        rumor.ns,
+                        fan_out=True,
+                        counters=self.ring_counters,
                     )
                 except (ObjectNotFound, QuorumError):
                     return False  # ring gone or unreachable: rumor dies
@@ -1076,10 +1079,36 @@ class H2Middleware:
                 peer_fd = peer.fd_cache.lookup(fd.ns)
                 if peer is not self and peer_fd is not None and peer_fd.dirty:
                     return
+            if not self._peer_views_current(fd):
+                return
         if fd.dirty:
             return
         fd.ring = fd.ring.compacted()
         self.background(lambda: self._write_back_compacted(fd))
+
+    def _peer_views_current(self, fd: FileDescriptor) -> bool:
+        """No peer's loaded view holds an older tuple for a tombstone.
+
+        Paper §3.3.2 drops a tombstone only once gossip has shown every
+        node the delete.  A peer that missed the rumor (a cut kept it
+        away, or gossip lost it) holds a clean but stale view with the
+        name live; dropping the tombstone would let that view, merged
+        back after the heal, resurrect the name -- a hinted
+        sloppy-quorum write can carry the compacted ring past the cut.  GC refuses to
+        compact on the same condition store-wide
+        (``GarbageCollector._views_current``); this is its in-memory
+        check for one ring.
+        """
+        tombstones = fd.ring.tombstones()
+        for peer in self.network.members:
+            peer_fd = peer.fd_cache.lookup(fd.ns)
+            if peer is self or peer_fd is None or not peer_fd.loaded:
+                continue
+            for tomb in tombstones:
+                theirs = peer_fd.ring.children.get(tomb.name)
+                if theirs is not None and theirs.timestamp < tomb.timestamp:
+                    return False
+        return True
 
     def _write_back_compacted(self, fd: FileDescriptor) -> None:
         """Persist a compaction without clobbering unseen stored entries.
@@ -1097,7 +1126,9 @@ class H2Middleware:
         is unchanged either way.
         """
         try:
-            loaded = shards.read_stored(self.store, fd.ns)
+            loaded = shards.read_stored(
+                self.store, fd.ns, counters=self.ring_counters
+            )
         except ObjectNotFound:
             # The ring object vanished (account teardown / GC); writing
             # our cached copy back would resurrect it.

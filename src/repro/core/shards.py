@@ -402,7 +402,9 @@ def merge_write(
             # A reshard or collapse rewrites every unit: the cache must
             # first see the shards it had no dirty names in.
             try:
-                loaded = read_stored(store, fd.ns, fan_out=True)
+                loaded = read_stored(
+                    store, fd.ns, fan_out=True, counters=counters
+                )
             except ObjectNotFound:
                 loaded = None
             except QuorumError:

@@ -4,14 +4,16 @@ A seeded schedule explorer drives N concurrent client sessions against
 a simulated deployment while interleaving single gossip deliveries,
 merger steps, GC passes, cache drops, node crash/recover cycles and
 transient-fault storms at explorer-chosen points -- all on the
-simulated clock, bit-reproducible from the seed.  After quiesce an
-oracle checks model equivalence, view convergence, structural
-integrity (fsck), garbage accounting and replica agreement; failing
-schedules are shrunk with delta debugging and persisted to a seed
-corpus for replay.  See ``docs/TESTING.md``.
+simulated clock, bit-reproducible from the seed.  A :class:`Layers`
+set (``faulty+partitions``, ...) picks which failure layers a run
+arms.  After quiesce an oracle checks model equivalence, view
+convergence, structural integrity (fsck), garbage accounting and
+replica agreement; failing schedules are shrunk with delta debugging
+and persisted to a seed corpus for replay.  See ``docs/TESTING.md``.
 """
 
-from .explorer import DstConfig, ScheduleExplorer, faulty_config, interleave_sessions
+from .explorer import DstConfig, ScheduleExplorer, interleave_sessions
+from .layers import Layers
 from .ops import ClientOp, HOSTILE_NAMES, ILLEGAL_NAMES, OpGenerator, payload_for
 from .oracle import InvariantViolation, check_invariants
 from .runner import RunResult, run_schedule, run_seed
@@ -24,13 +26,13 @@ __all__ = [
     "HOSTILE_NAMES",
     "ILLEGAL_NAMES",
     "InvariantViolation",
+    "Layers",
     "OpGenerator",
     "RunResult",
     "Schedule",
     "ScheduleExplorer",
     "Step",
     "check_invariants",
-    "faulty_config",
     "interleave_sessions",
     "payload_for",
     "run_schedule",

@@ -1,110 +1,73 @@
 """``python -m repro dst`` -- drive the deterministic simulator.
 
-    dst run     --seed 7 [--faulty | --corruption] [--traffic] [--membership] [--partitions] [--sharded]
-    dst sweep   --seeds 200 [--start 0] [--corruption] [--traffic] [--membership] [--partitions] [--sharded]
+    dst run     --seed 7 [--layers L]
+    dst sweep   --seeds 200 [--start 0] [--layers L]
     dst replay  CASE.json
-    dst shrink  CASE.json | --seed 7 [--faulty | --corruption] [--traffic] [--membership] [--partitions] [--sharded]
+    dst shrink  CASE.json | --seed 7 [--layers L]
+    dst digests [--check]
 
-``run`` executes one seed and prints the verdict; ``sweep`` runs a
-range of seeds alternating fault-free and fault-storm configs (the CI
-nightly job) -- with ``--corruption`` every seed instead runs the
-corruption-storm mix (bit-rot, torn writes, scheduled corrupt events)
-against the V1-V6 oracle; ``replay`` re-executes a persisted corpus
-case and checks it reproduces the recorded digest/verdict; ``shrink``
-minimises a failing case with ddmin and saves the result to the corpus.
-``--membership`` weaves elastic-membership churn (node joins, drains,
-crash-style removals and bounded rebalance batches) into whichever mix
-the seed gets, and arms the V7 membership-convergence oracle.
-``--partitions`` weaves scheduled link-level network cuts (one
-middleware severed from a minority of storage nodes, sometimes from
-its gossip peers too) into the run, arms sloppy-quorum hinted handoff,
-and turns on the V8 heal-convergence oracle.  ``--sharded`` arms
-sharded NameRings at DST-sized split/merge thresholds, so the same
-schedules exercise manifest flips, per-shard write-backs, reshard and
-collapse transitions under whatever fault mix the seed gets.
+``--layers`` arms a set of failure layers, written ``a+b`` over
+``faulty``, ``corruption``, ``traffic``, ``membership``,
+``partitions`` and ``sharded`` (``none`` by default; see
+:mod:`repro.dst.layers`).  ``run`` executes one seed under those layers
+and prints the verdict; ``sweep`` runs a range of seeds, adding
+``faulty`` on odd seeds unless the layers already bring faults, and
+names each failing seed's layer set so ``run`` reproduces it;
+``replay`` re-executes a persisted corpus case and checks it reproduces
+the recorded digest/verdict; ``shrink`` minimises a failing case with
+ddmin and saves the result to the corpus; ``digests`` writes the
+per-seed digest table ``DST_DIGESTS.json`` (seeds 0-199 of every
+nightly layer set), and ``--check`` re-runs it and names every key
+whose digest moved.
 
-Exit codes: 0 clean / reproduced, 1 invariant violations found,
-2 usage or non-reproduction.
+Exit codes: 0 clean / reproduced / unchanged, 1 invariant violations
+found or digests moved, 2 usage or non-reproduction.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+from pathlib import Path
 
 from . import corpus as corpus_mod
-from .explorer import (
-    DstConfig,
-    ScheduleExplorer,
-    corruption_config,
-    faulty_config,
-    with_membership_steps,
-    with_partition_steps,
-    with_sharded_rings,
-    with_traffic_flags,
-)
+from .explorer import DstConfig, ScheduleExplorer
+from .layers import LAYER_TABLE, NIGHTLY_LAYERS, Layers, layers_arg
 from .runner import RunResult, run_schedule, run_seed
 from .shrink import shrink
 
 
-def _config_from(args: argparse.Namespace) -> DstConfig:
-    overrides = {
-        "sessions": args.sessions,
-        "ops_per_session": args.ops,
-    }
-    if getattr(args, "corruption", False):
-        config = corruption_config(**overrides)
-    elif args.faulty:
-        config = faulty_config(**overrides)
-    else:
-        config = DstConfig(**overrides)
-    if getattr(args, "traffic", False):
-        config = with_traffic_flags(config)
-    if getattr(args, "membership", False):
-        config = with_membership_steps(config)
-    if getattr(args, "partitions", False):
-        config = with_partition_steps(config)
-    if getattr(args, "sharded", False):
-        config = with_sharded_rings(config)
-    return config
+def sweep_layers(seed: int, layers: Layers) -> Layers:
+    """The nightly alternation: odd seeds add ``faulty``, unless
+    ``layers`` already brings faults (``faulty`` or ``corruption``), in
+    which case every seed runs them."""
+    if seed % 2 and "faulty" not in layers and "corruption" not in layers:
+        return layers.plus("faulty")
+    return layers
 
 
 def sweep_config(
-    seed: int,
-    sessions: int = 3,
-    ops: int = 25,
-    corruption: bool = False,
-    traffic: bool = False,
-    membership: bool = False,
-    partitions: bool = False,
-    sharded: bool = False,
+    seed: int, layers: Layers = Layers(), sessions: int = 3, ops: int = 25
 ) -> DstConfig:
-    """The nightly mix: even seeds run fault-free (full model check),
-    odd seeds run under crash cycles, fault storms and message loss.
-    ``corruption=True`` runs *every* seed under the corruption-storm
-    mix instead (the nightly integrity sweep).  ``traffic=True`` layers
-    the traffic-reduction flags (negative cache, group commit, gossip
-    digests, PUT elision) over whichever base config the seed gets.
-    ``membership=True`` weaves elastic-membership churn on top -- the
-    nightly rebalance-storm sweep.  ``partitions=True`` layers
-    scheduled link-level cuts plus hinted handoff (V8) on top -- the
-    nightly partition-storm sweep.  ``sharded=True`` arms sharded
-    NameRings at DST-sized thresholds -- the nightly huge-directory
-    sweep."""
-    if corruption:
-        config = corruption_config(sessions=sessions, ops_per_session=ops)
-    elif seed % 2 == 0:
-        config = DstConfig(sessions=sessions, ops_per_session=ops)
-    else:
-        config = faulty_config(sessions=sessions, ops_per_session=ops)
-    if traffic:
-        config = with_traffic_flags(config)
-    if membership:
-        config = with_membership_steps(config)
-    if partitions:
-        config = with_partition_steps(config)
-    if sharded:
-        config = with_sharded_rings(config)
-    return config
+    """Seed ``seed``'s config in a sweep over ``layers``: even seeds
+    run fault-free (full model check) unless a layer brings faults."""
+    return sweep_layers(seed, layers).config(
+        sessions=sessions, ops_per_session=ops
+    )
+
+
+def _digest(layers: Layers, seed: int) -> str:
+    return run_seed(seed, sweep_config(seed, layers)).digest[:12]
+
+
+def digest_table(seeds=range(200)) -> dict[str, str]:
+    """``"<layers>/<seed>"`` -> 12-hex run-digest prefix, for every
+    nightly layer set."""
+    return {
+        f"{layers}/{seed}": _digest(layers, seed)
+        for layers in NIGHTLY_LAYERS
+        for seed in seeds
+    }
 
 
 def _report(result: RunResult, verbose: bool = True) -> None:
@@ -135,7 +98,8 @@ def _save_failure(result: RunResult, directory: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = run_seed(args.seed, _config_from(args))
+    config = args.layers.config(sessions=args.sessions, ops_per_session=args.ops)
+    result = run_seed(args.seed, config)
     _report(result)
     if result.violations and args.save_failures:
         _save_failure(result, args.save_failures)
@@ -145,25 +109,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     for seed in range(args.start, args.start + args.seeds):
-        result = run_seed(
-            seed,
-            sweep_config(
-                seed,
-                args.sessions,
-                args.ops,
-                args.corruption,
-                traffic=getattr(args, "traffic", False),
-                membership=getattr(args, "membership", False),
-                partitions=getattr(args, "partitions", False),
-                sharded=getattr(args, "sharded", False),
-            ),
-        )
+        config = sweep_config(seed, args.layers, args.sessions, args.ops)
+        result = run_seed(seed, config)
         if result.ok:
             if args.verbose:
                 _report(result, verbose=False)
             continue
         failures += 1
         _report(result)
+        print(f"  layers: {sweep_layers(seed, args.layers)}")
         if args.save_failures:
             _save_failure(result, args.save_failures)
     print(
@@ -171,6 +125,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{failures} failing"
     )
     return 1 if failures else 0
+
+
+def _cmd_digests(args: argparse.Namespace) -> int:
+    path = Path(args.file)
+    if not args.check:
+        table = digest_table()
+        path.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
+        print(f"wrote {len(table)} digests to {path}")
+        return 0
+    table = json.loads(path.read_text())
+    moved = 0
+    for key, pinned in table.items():
+        layers, seed = key.rsplit("/", 1)
+        digest = _digest(Layers.parse(layers), int(seed))
+        if digest != pinned:
+            moved += 1
+            print(f"moved: {key} {pinned} -> {digest}")
+    print(f"digests: {len(table) - moved}/{len(table)} unchanged")
+    return 1 if moved else 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -198,7 +171,10 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
     if args.case:
         schedule, _ = corpus_mod.load_case(args.case)
     else:
-        schedule = ScheduleExplorer(args.seed, _config_from(args)).explore()
+        config = args.layers.config(
+            sessions=args.sessions, ops_per_session=args.ops
+        )
+        schedule = ScheduleExplorer(args.seed, config).explore()
     try:
         minimal, result, runs = shrink(schedule, max_runs=args.max_runs)
     except ValueError as exc:
@@ -224,37 +200,12 @@ def main(argv: list[str]) -> int:
         p.add_argument("--sessions", type=int, default=3)
         p.add_argument("--ops", type=int, default=25, help="ops per session")
         p.add_argument(
-            "--faulty",
-            action="store_true",
-            help="crash cycles, fault storms and message loss",
-        )
-        p.add_argument(
-            "--corruption",
-            action="store_true",
-            help="corruption storms: bit-rot, torn writes, scrubs (V6)",
-        )
-        p.add_argument(
-            "--traffic",
-            action="store_true",
-            help="traffic-reduction flags on: negative cache, group "
-            "commit, gossip digests, PUT elision",
-        )
-        p.add_argument(
-            "--membership",
-            action="store_true",
-            help="weave elastic-membership churn: joins, drains, "
-            "removals and live rebalance batches (V7 oracle)",
-        )
-        p.add_argument(
-            "--partitions",
-            action="store_true",
-            help="weave link-level network cuts and arm sloppy-quorum "
-            "hinted handoff (V8 heal-convergence oracle)",
-        )
-        p.add_argument(
-            "--sharded",
-            action="store_true",
-            help="arm sharded NameRings at DST-sized split thresholds",
+            "--layers",
+            type=layers_arg,
+            default=Layers(),
+            metavar="L",
+            help="failure layers, e.g. faulty+partitions (default: none): "
+            + ", ".join(LAYER_TABLE),
         )
 
     p_run = sub.add_parser("run", help="execute one seed")
@@ -268,33 +219,7 @@ def main(argv: list[str]) -> int:
     p_sweep.add_argument("--start", type=int, default=0)
     p_sweep.add_argument("--save-failures", metavar="DIR", default=None)
     p_sweep.add_argument("--verbose", action="store_true")
-    p_sweep.add_argument("--sessions", type=int, default=3)
-    p_sweep.add_argument("--ops", type=int, default=25)
-    p_sweep.add_argument(
-        "--corruption",
-        action="store_true",
-        help="run every seed under the corruption-storm mix (V6 oracle)",
-    )
-    p_sweep.add_argument(
-        "--traffic",
-        action="store_true",
-        help="layer the traffic-reduction flags over every seed's config",
-    )
-    p_sweep.add_argument(
-        "--membership",
-        action="store_true",
-        help="weave elastic-membership churn over every seed's config",
-    )
-    p_sweep.add_argument(
-        "--partitions",
-        action="store_true",
-        help="weave link-level cuts + hinted handoff over every seed",
-    )
-    p_sweep.add_argument(
-        "--sharded",
-        action="store_true",
-        help="arm sharded NameRings at DST-sized split thresholds",
-    )
+    common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_replay = sub.add_parser("replay", help="re-execute a corpus case")
@@ -308,6 +233,17 @@ def main(argv: list[str]) -> int:
     p_shrink.add_argument("--corpus", default=corpus_mod.DEFAULT_DIR)
     common(p_shrink)
     p_shrink.set_defaults(func=_cmd_shrink)
+
+    p_digests = sub.add_parser(
+        "digests", help="write or check the per-seed digest table"
+    )
+    p_digests.add_argument("--file", default="DST_DIGESTS.json")
+    p_digests.add_argument(
+        "--check",
+        action="store_true",
+        help="re-run every key; exit 1 if any digest moved",
+    )
+    p_digests.set_defaults(func=_cmd_digests)
 
     args = parser.parse_args(argv)
     return args.func(args)

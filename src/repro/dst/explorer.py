@@ -10,10 +10,13 @@ windows, and explicit clock advances.  The output is a plain
 makes no random choices of its own, which is what makes the pair
 (seed -> schedule -> run) bit-reproducible.
 
-Crash scheduling respects ``max_down`` so a replica-3 cluster never
-loses quorum entirely; recovery is always re-injected before the
-stream runs dry, and the runner's quiesce phase recovers any node a
-shrunk schedule leaves down.
+The environment steps come from one :class:`EnvironmentWeaver`, which
+the scenario explorer (:mod:`repro.workloads.scenarios`) shares, and
+the background steps from one :func:`weave_background`.  Crash
+scheduling respects ``max_down`` so a replica-3 cluster never loses
+quorum entirely; recovery is always re-injected before the stream runs
+dry, and the runner's quiesce phase recovers any node a shrunk
+schedule leaves down.
 """
 
 from __future__ import annotations
@@ -88,119 +91,7 @@ class DstConfig:
         return cls(**{k: v for k, v in doc.items() if k in known})
 
 
-#: A config with faults on -- what ``dst run`` uses by default.
-def faulty_config(**overrides) -> DstConfig:
-    base = dict(
-        message_loss=0.05,
-        io_error_rate=0.08,
-        timeout_rate=0.03,
-        slow_rate=0.08,
-        crash_rate=0.03,
-        storm_rate=0.04,
-    )
-    base.update(overrides)
-    return DstConfig(**base)
-
-
-#: The corruption-storm mix -- silent corruption (scheduled bit-rot,
-#: per-read rot inside storm windows, torn writes on crash) layered on a
-#: moderated transient-fault diet, with scrub passes woven in so healing
-#: races the damage.  ``dst run --corruption`` / the nightly
-#: corruption-storm sweep use this.
-def corruption_config(**overrides) -> DstConfig:
-    base = dict(
-        message_loss=0.02,
-        io_error_rate=0.04,
-        timeout_rate=0.02,
-        slow_rate=0.04,
-        crash_rate=0.03,
-        storm_rate=0.04,
-        bitrot_rate=0.002,
-        torn_write_rate=0.3,
-        corrupt_rate=0.06,
-        scrub_rate=0.04,
-    )
-    base.update(overrides)
-    return DstConfig(**base)
-
-
-def with_membership_steps(config: DstConfig) -> DstConfig:
-    """``config`` with elastic-membership churn woven into the run.
-
-    Used by ``dst run|sweep|shrink --membership``: node joins, graceful
-    drains and crash-style removals open epoch transitions mid-run, and
-    explicit ``rebalance`` steps drain the migration plan in bounded
-    batches *between* client ops, faults and corruption events -- the
-    dual-ownership window stays open across whatever the rest of the
-    schedule throws at it.  The V7 oracle then insists that after
-    quiesce no object is lost, unreadable, or double-owned.
-    """
-    from dataclasses import replace
-
-    return replace(config, membership_rate=0.02, rebalance_rate=0.20)
-
-
-def with_partition_steps(config: DstConfig) -> DstConfig:
-    """``config`` with link-level network partitions woven into the run.
-
-    Used by ``dst run|sweep|shrink --partitions``: scheduled cuts sever
-    one middleware from a minority of storage nodes (and sometimes from
-    its gossip peers), then heal a bounded number of steps later.
-    Hinted handoff is armed so sloppy-quorum writes park durable hints
-    on fallback nodes while the cut is open; the V8 oracle then insists
-    that after every cut heals and the hint store drains, no
-    acknowledged write is lost and no hint is stranded.
-    """
-    from dataclasses import replace
-
-    return replace(config, partition_rate=0.04, hinted_handoff=True)
-
-
-def with_sharded_rings(config: DstConfig) -> DstConfig:
-    """``config`` with sharded NameRings armed at DST-sized thresholds.
-
-    Used by ``dst run|sweep|shrink --sharded``: real deployments split
-    at ~1k children, but DST directories hold tens of names, so the
-    split point drops to 8 (merge back at 3, ~5 entries per shard) --
-    ordinary schedules then cross the split, steady-state, reshard and
-    collapse transitions, and every crash/corruption/partition event
-    can land between a shard PUT and its manifest flip.  V1-V8 run
-    unchanged: the oracles read through ``load_ring``/fsck, which
-    reassemble sharded directories transparently.
-    """
-    from dataclasses import replace
-
-    return replace(
-        config,
-        sharded_rings=True,
-        shard_split_threshold=8,
-        shard_merge_threshold=3,
-        shard_target_entries=5,
-    )
-
-
-def with_traffic_flags(config: DstConfig) -> DstConfig:
-    """``config`` with every traffic-reduction mechanism switched on.
-
-    Used by ``dst run|sweep|shrink --traffic``: the same schedules run
-    with negative caching, group commit, gossip digests and PUT elision
-    active, plus explicit ``flush_groups`` steps woven in so open
-    group-commit windows are closed at adversarial moments, not only at
-    merge time.
-    """
-    from dataclasses import replace
-
-    return replace(
-        config,
-        negative_cache=True,
-        group_commit=True,
-        gossip_digests=True,
-        memoize_serialization=True,
-        flush_rate=0.10,
-    )
-
-
-# Background / environment steps the explorer can weave between ops.
+# Background-protocol steps the explorer weaves between ops.
 # Probabilities are per inter-op gap, evaluated independently.
 _BG_WEIGHTS = (
     ("gossip_one", 0.30),
@@ -211,6 +102,164 @@ _BG_WEIGHTS = (
     ("gc", 0.05),
     ("anti_entropy", 0.02),
 )
+
+
+def weave_background(
+    steps: list[Step],
+    rng: random.Random,
+    weights: tuple[tuple[str, float], ...],
+    middlewares: int,
+) -> None:
+    """Append the background-protocol steps drawn for one gap."""
+    for kind, p in weights:
+        if rng.random() >= p:
+            continue
+        if kind in ("merge", "gc", "drop_caches"):
+            steps.append(Step(kind, args={"mw": rng.randrange(middlewares)}))
+        elif kind == "advance":
+            steps.append(
+                Step("advance", args={"delta_us": rng.randint(500, 50_000)})
+            )
+        else:
+            steps.append(Step(kind))
+
+
+class EnvironmentWeaver:
+    """The environment steps a config arms, drawn gap by gap.
+
+    Both the DST and the scenario explorer call :meth:`weave` once per
+    gap between ops and :meth:`tail` at the end.  Every draw sits
+    behind its rate, so a config with a knob at 0 leaves the rng stream
+    untouched: schedules from configs predating a knob re-explore
+    bit-identically.  ``batches`` (rebalance batch sizes) and
+    ``heal_gaps`` (how many gaps a cut stays open) are the only two
+    things the explorers draw differently.
+    """
+
+    def __init__(
+        self,
+        rng: random.Random,
+        cfg: DstConfig,
+        batches: tuple[int, ...] = (4, 8, 16),
+        heal_gaps: tuple[int, int] = (4, 15),
+    ):
+        self.rng, self.cfg = rng, cfg
+        self.batches, self.heal_gaps = batches, heal_gaps
+        self.down: list[int] = []  # crashed nodes, with a recovery due
+        self.recover_after = 0  # gaps until the pending recovery
+        # Which node ids the weaver believes exist (the runner
+        # re-validates -- a drain aimed at an already-departed node
+        # deterministically reports ``busy`` or ``no_such_node``).
+        self.population = list(range(1, cfg.storage_nodes + 1))
+        self.next_node = cfg.storage_nodes + 1
+        self.transitions = 0
+        self.open_cuts: list[list] = []  # [cut_id, gaps_until_heal]
+        self.next_cut = 0
+
+    def weave(self, steps: list[Step]) -> None:
+        cfg, rng = self.cfg, self.rng
+        # Crash/recover cycles never exceed max_down, so quorum survives.
+        if self.down:
+            self.recover_after -= 1
+            if self.recover_after <= 0:
+                steps.append(
+                    Step("recover", args={"node": self.down.pop(0), "delay_us": 0})
+                )
+        elif cfg.crash_rate and rng.random() < cfg.crash_rate:
+            node = rng.randrange(cfg.storage_nodes) + 1  # node ids are 1-based
+            if len(self.down) < cfg.max_down:
+                steps.append(Step("crash", args={"node": node, "delay_us": 0}))
+                self.down.append(node)
+                self.recover_after = rng.randint(3, 12)
+        if cfg.storm_rate and rng.random() < cfg.storm_rate:
+            steps.append(
+                Step(
+                    "storm_on",
+                    args={"duration_us": rng.randint(20_000, 200_000)},
+                )
+            )
+        if cfg.corrupt_rate and rng.random() < cfg.corrupt_rate:
+            steps.append(
+                Step(
+                    "corrupt",
+                    args={
+                        "node": rng.randrange(cfg.storage_nodes) + 1,
+                        "mode": rng.choice(["bitflip", "truncate"]),
+                    },
+                )
+            )
+        if cfg.scrub_rate and rng.random() < cfg.scrub_rate:
+            steps.append(Step("scrub"))
+        if cfg.flush_rate and rng.random() < cfg.flush_rate:
+            steps.append(
+                Step("flush_groups", args={"mw": rng.randrange(cfg.middlewares)})
+            )
+        if cfg.membership_rate and rng.random() < cfg.membership_rate:
+            if self.transitions < cfg.max_membership:
+                self._transition(steps)
+        if cfg.rebalance_rate and rng.random() < cfg.rebalance_rate:
+            steps.append(
+                Step("rebalance", args={"max": rng.choice(self.batches)})
+            )
+        if cfg.partition_rate:
+            self._partition(steps)
+
+    def _transition(self, steps: list[Step]) -> None:
+        rng, population = self.rng, self.population
+        roll = rng.random()
+        if roll < 0.45 or len(population) <= self.cfg.replicas:
+            steps.append(Step("add_node"))
+            population.append(self.next_node)
+            self.next_node += 1
+        else:
+            victim = population[rng.randrange(len(population))]
+            kind = "drain_node" if roll < 0.80 else "remove_node"
+            steps.append(Step(kind, args={"node": victim}))
+            population.remove(victim)
+        self.transitions += 1
+
+    def _partition(self, steps: list[Step]) -> None:
+        cfg, rng, open_cuts = self.cfg, self.rng, self.open_cuts
+        for entry in open_cuts:
+            entry[1] -= 1
+        while open_cuts and open_cuts[0][1] <= 0:
+            cut_id, _ = open_cuts.pop(0)
+            steps.append(Step("heal", args={"cut": cut_id}))
+        if rng.random() < cfg.partition_rate:
+            if len(open_cuts) < cfg.max_partitions:
+                mw = rng.randrange(cfg.middlewares)
+                pool = sorted(self.population)
+                # Minority cuts only: the majority side keeps quorum, so
+                # sloppy writes can park hints.
+                count = rng.randint(1, max(1, len(pool) // 2))
+                nodes = sorted(rng.sample(pool, min(count, len(pool))))
+                cut = f"c{self.next_cut}"
+                self.next_cut += 1
+                steps.append(
+                    Step(
+                        "partition",
+                        args={
+                            "cut": cut,
+                            "mw": mw,
+                            "nodes": nodes,
+                            "gossip": rng.random() < 0.35,
+                            "mode": rng.choice(("both", "both", "in", "out")),
+                        },
+                    )
+                )
+                open_cuts.append([cut, rng.randint(*self.heal_gaps)])
+
+    def tail(self, steps: list[Step]) -> None:
+        """Leave no node down, no cut open and no storm window open.
+
+        The runner's quiesce enforces this too, but an explicit tail
+        keeps hand-read schedules honest.
+        """
+        for node in self.down:
+            steps.append(Step("recover", args={"node": node, "delay_us": 0}))
+        for cut_id, _ in self.open_cuts:
+            steps.append(Step("heal", args={"cut": cut_id}))
+        steps.append(Step("storm_off"))
 
 
 class ScheduleExplorer:
@@ -226,156 +275,35 @@ class ScheduleExplorer:
         streams = OpGenerator(
             self.seed, hostile_name_rate=cfg.hostile_name_rate
         ).streams(cfg.sessions, cfg.ops_per_session)
-        steps: list[Step] = []
-        cursors = [0] * cfg.sessions
-        down: list[int] = []  # nodes currently crashed, with a recovery due
-        recover_after = 0  # steps until the pending recovery is emitted
-        # Elastic membership bookkeeping: which node ids the explorer
-        # believes exist (the runner re-validates -- a drain aimed at an
-        # already-departed node deterministically reports ``busy`` or
-        # ``no_such_node`` rather than failing).
-        population = list(range(1, cfg.storage_nodes + 1))
-        next_node = cfg.storage_nodes + 1
-        transitions = 0
-        # Partition bookkeeping: open cuts as [cut_id, steps_until_heal]
-        # (same shape as the crash/recover cycle above -- the tail heals
-        # anything still open so hand-read schedules stay honest).
-        open_cuts: list[list] = []
-        next_cut = 0
-        while True:
-            live = [
-                k for k in range(cfg.sessions) if cursors[k] < len(streams[k])
-            ]
-            if not live:
-                break
-            # Fault machinery between ops.
-            if down:
-                recover_after -= 1
-                if recover_after <= 0:
-                    steps.append(
-                        Step("recover", args={"node": down.pop(0), "delay_us": 0})
-                    )
-            elif cfg.crash_rate and rng.random() < cfg.crash_rate:
-                node = rng.randrange(cfg.storage_nodes) + 1  # node ids are 1-based
-                if len(down) < cfg.max_down:
-                    steps.append(
-                        Step("crash", args={"node": node, "delay_us": 0})
-                    )
-                    down.append(node)
-                    recover_after = rng.randint(3, 12)
-            if cfg.storm_rate and rng.random() < cfg.storm_rate:
-                steps.append(
-                    Step(
-                        "storm_on",
-                        args={"duration_us": rng.randint(20_000, 200_000)},
-                    )
-                )
-            # Silent corruption (rate guards keep the rng stream
-            # untouched for configs predating the integrity regime, so
-            # old corpus schedules re-explore bit-identically).
-            if cfg.corrupt_rate and rng.random() < cfg.corrupt_rate:
-                steps.append(
-                    Step(
-                        "corrupt",
-                        args={
-                            "node": rng.randrange(cfg.storage_nodes) + 1,
-                            "mode": rng.choice(["bitflip", "truncate"]),
-                        },
-                    )
-                )
-            if cfg.scrub_rate and rng.random() < cfg.scrub_rate:
-                steps.append(Step("scrub"))
-            # Group-commit flush points (rate guard: the rng stream is
-            # untouched when the traffic flags are off, so pre-traffic
-            # schedules re-explore bit-identically).
-            if cfg.flush_rate and rng.random() < cfg.flush_rate:
-                steps.append(
-                    Step(
-                        "flush_groups",
-                        args={"mw": rng.randrange(cfg.middlewares)},
-                    )
-                )
-            # Elastic membership churn (rate guards again: with the
-            # knobs at 0 the rng stream is untouched, so pre-membership
-            # schedules re-explore bit-identically).
-            if cfg.membership_rate and rng.random() < cfg.membership_rate:
-                if transitions < cfg.max_membership:
-                    roll = rng.random()
-                    if roll < 0.45 or len(population) <= cfg.replicas:
-                        steps.append(Step("add_node"))
-                        population.append(next_node)
-                        next_node += 1
-                    else:
-                        victim = population[rng.randrange(len(population))]
-                        kind = "drain_node" if roll < 0.80 else "remove_node"
-                        steps.append(Step(kind, args={"node": victim}))
-                        population.remove(victim)
-                    transitions += 1
-            if cfg.rebalance_rate and rng.random() < cfg.rebalance_rate:
-                steps.append(
-                    Step("rebalance", args={"max": rng.choice((4, 8, 16))})
-                )
-            # Network partition cuts (rate guard: with partition_rate at
-            # 0 the rng stream is untouched, so pre-partition schedules
-            # re-explore bit-identically).
-            if cfg.partition_rate:
-                for entry in open_cuts:
-                    entry[1] -= 1
-                while open_cuts and open_cuts[0][1] <= 0:
-                    cut_id, _ = open_cuts.pop(0)
-                    steps.append(Step("heal", args={"cut": cut_id}))
-                if rng.random() < cfg.partition_rate:
-                    if len(open_cuts) < cfg.max_partitions:
-                        mw = rng.randrange(cfg.middlewares)
-                        pool = sorted(population)
-                        # Minority cuts only: the majority side keeps
-                        # quorum, so sloppy writes can park hints.
-                        count = rng.randint(1, max(1, len(pool) // 2))
-                        nodes = sorted(rng.sample(pool, min(count, len(pool))))
-                        cut = f"c{next_cut}"
-                        next_cut += 1
-                        steps.append(
-                            Step(
-                                "partition",
-                                args={
-                                    "cut": cut,
-                                    "mw": mw,
-                                    "nodes": nodes,
-                                    "gossip": rng.random() < 0.35,
-                                    "mode": rng.choice(
-                                        ("both", "both", "in", "out")
-                                    ),
-                                },
-                            )
-                        )
-                        open_cuts.append([cut, rng.randint(4, 15)])
-            # Background protocol steps.
-            for kind, p in _BG_WEIGHTS:
-                if rng.random() >= p:
-                    continue
-                if kind == "merge" or kind == "gc" or kind == "drop_caches":
-                    steps.append(
-                        Step(kind, args={"mw": rng.randrange(cfg.middlewares)})
-                    )
-                elif kind == "advance":
-                    steps.append(
-                        Step("advance", args={"delta_us": rng.randint(500, 50_000)})
-                    )
-                else:
-                    steps.append(Step(kind))
-            # One client op from a randomly chosen live session.
-            k = rng.choice(live)
-            steps.append(Step("op", session=k, op=streams[k][cursors[k]]))
-            cursors[k] += 1
-        # Leave no node down and no storm open past the scripted part:
-        # the runner's quiesce also enforces this, but an explicit tail
-        # keeps hand-read schedules honest.
-        for node in down:
-            steps.append(Step("recover", args={"node": node, "delay_us": 0}))
-        for cut_id, _ in open_cuts:
-            steps.append(Step("heal", args={"cut": cut_id}))
-        steps.append(Step("storm_off"))
-        return Schedule(seed=self.seed, config=cfg.to_json(), steps=steps)
+        return Schedule(
+            seed=self.seed,
+            config=cfg.to_json(),
+            steps=_interleave(streams, rng, cfg, EnvironmentWeaver(rng, cfg)),
+        )
+
+
+def _interleave(
+    streams: list[list[ClientOp]],
+    rng: random.Random,
+    cfg: DstConfig,
+    weaver: EnvironmentWeaver | None,
+) -> list[Step]:
+    """One total order: per-session order kept, the rest drawn by ``rng``."""
+    steps: list[Step] = []
+    cursors = [0] * len(streams)
+    while True:
+        live = [k for k in range(len(streams)) if cursors[k] < len(streams[k])]
+        if not live:
+            break
+        if weaver is not None:
+            weaver.weave(steps)
+        weave_background(steps, rng, _BG_WEIGHTS, cfg.middlewares)
+        k = rng.choice(live)
+        steps.append(Step("op", session=k, op=streams[k][cursors[k]]))
+        cursors[k] += 1
+    if weaver is not None:
+        weaver.tail(steps)
+    return steps
 
 
 def interleave_sessions(
@@ -394,29 +322,5 @@ def interleave_sessions(
     if cfg.sessions != len(ops_by_session):
         raise ValueError("config.sessions must match ops_by_session")
     rng = random.Random(f"{seed}:interleave")
-    steps: list[Step] = []
-    cursors = [0] * len(ops_by_session)
-    while True:
-        live = [
-            k for k in range(len(ops_by_session))
-            if cursors[k] < len(ops_by_session[k])
-        ]
-        if not live:
-            break
-        for kind, p in _BG_WEIGHTS:
-            if rng.random() >= p:
-                continue
-            if kind in ("merge", "gc", "drop_caches"):
-                steps.append(
-                    Step(kind, args={"mw": rng.randrange(cfg.middlewares)})
-                )
-            elif kind == "advance":
-                steps.append(
-                    Step("advance", args={"delta_us": rng.randint(500, 50_000)})
-                )
-            else:
-                steps.append(Step(kind))
-        k = rng.choice(live)
-        steps.append(Step("op", session=k, op=ops_by_session[k][cursors[k]]))
-        cursors[k] += 1
+    steps = _interleave(ops_by_session, rng, cfg, None)
     return Schedule(seed=seed, config=cfg.to_json(), steps=steps)

@@ -37,7 +37,7 @@ converged, GC run), these checks must all hold:
   epoch's copy resurrected by repair).  Holds vacuously for schedules
   without membership steps, so it runs unconditionally.
 * **V8 heal convergence** -- only when hinted handoff was armed
-  (``--partitions`` runs): after every partition cut healed and the
+  (``--layers partitions`` runs): after every partition cut healed and the
   hint-delivery sweeper drained, (a) no cut is still open, (b) the
   hint store is empty (no hint stranded on a fallback), and (c) every
   *acknowledged* write survives -- its name is deleted, loudly

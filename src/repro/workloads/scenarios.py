@@ -8,8 +8,9 @@ accounts owning deep trees and near-half-million-file hotspot
 directories.  This module turns that shape into *deterministic
 schedules*: a scenario is ``(name, tier, seed)`` and nothing else, so
 any run is replayable bit-for-bit, shrinkable with the DST ddmin loop,
-and composable with the fault/corruption/membership mixes the DST
-explorer already weaves.
+and composable with the failure layers (:mod:`repro.dst.layers`) the
+DST explorer weaves -- both explorers draw environment steps through
+the one :class:`~repro.dst.explorer.EnvironmentWeaver`.
 
 Building blocks:
 
@@ -43,9 +44,10 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
-from ..dst.explorer import DstConfig, with_traffic_flags
+from ..dst.explorer import DstConfig, EnvironmentWeaver, weave_background
+from ..dst.layers import Layers
 from ..dst.ops import ClientOp
 from ..dst.schedule import Schedule, Step
 from .hotspots import ZipfSampler
@@ -418,49 +420,19 @@ class ScenarioSpec:
         )
 
 
-def scenario_env(
-    faulty: bool = False,
-    corruption: bool = False,
-    membership: bool = False,
-    traffic: bool = False,
-    partitions: bool = False,
-    middlewares: int = 3,
-) -> DstConfig:
-    """The environment knobs a scenario weaves between arrivals.
+def scenario_env(layers: Layers = Layers(), middlewares: int = 3) -> DstConfig:
+    """The environment a scenario weaves between arrivals.
 
-    Per-gap probabilities are an order of magnitude below the DST
-    defaults: a scenario has thousands of gaps, so the *count* of
+    ``layers`` take their scenario rates from
+    :data:`~repro.dst.layers.LAYER_TABLE`, an order of magnitude below
+    the DST ones: a scenario has thousands of gaps, so the *count* of
     crashes/corruptions/scrubs per run stays comparable to a DST run
-    rather than scaling with the op budget.
+    rather than scaling with the op budget.  A layer with no scenario
+    form raises ``ValueError``.
     """
-    cfg = DstConfig(middlewares=middlewares, check_model=False)
-    if faulty or corruption:
-        cfg = replace(
-            cfg,
-            message_loss=0.01,
-            io_error_rate=0.01,
-            timeout_rate=0.005,
-            slow_rate=0.01,
-            crash_rate=0.0015,
-            storm_rate=0.002,
-        )
-    if corruption:
-        cfg = replace(
-            cfg,
-            bitrot_rate=0.0005,
-            torn_write_rate=0.2,
-            corrupt_rate=0.002,
-            scrub_rate=0.0005,
-        )
-    if membership:
-        cfg = replace(
-            cfg, membership_rate=0.0008, rebalance_rate=0.05, max_membership=6
-        )
-    if traffic:
-        cfg = with_traffic_flags(cfg)
-    if partitions:
-        cfg = replace(cfg, partition_rate=0.0012, hinted_handoff=True)
-    return cfg
+    return layers.over(
+        DstConfig(middlewares=middlewares, check_model=False), scenario=True
+    )
 
 
 # ----------------------------------------------------------------------
@@ -565,9 +537,9 @@ def split_brain_storm(tier="smoke", seed=0, env=None) -> ScenarioSpec:
     hint store drains to empty, and no acknowledged write is lost
     (docs/PARTITIONS.md).
     """
-    env = env or scenario_env(faulty=True)
+    env = env or scenario_env(Layers.parse("faulty"))
     if not env.partition_rate:
-        env = replace(env, partition_rate=0.0012, hinted_handoff=True)
+        env = Layers.parse("partitions").over(env, scenario=True)
     return _spec(
         "split-brain-storm", tier, seed, env,
         mix={
@@ -821,103 +793,12 @@ class ScenarioExplorer:
         now_us = 0
         emitted = 0
         burst_tenant: int | None = None
-        # Fault/membership bookkeeping (the DST explorer's idiom).
-        down: list[int] = []
-        recover_after = 0
-        population = list(range(1, env.storage_nodes + 1))
-        next_node = env.storage_nodes + 1
-        transitions = 0
-        open_cuts: list[list] = []  # [cut_id, gaps_until_heal]
-        next_cut = 0
+        weaver = EnvironmentWeaver(
+            rng, env, batches=(8, 16, 32), heal_gaps=(6, 30)
+        )
         while emitted < tier.ops:
-            # -- environment weaving (rate-guarded like the DST explorer)
-            if down:
-                recover_after -= 1
-                if recover_after <= 0:
-                    steps.append(
-                        Step("recover", args={"node": down.pop(0), "delay_us": 0})
-                    )
-            elif env.crash_rate and rng.random() < env.crash_rate:
-                node = rng.randrange(env.storage_nodes) + 1
-                if len(down) < env.max_down:
-                    steps.append(Step("crash", args={"node": node, "delay_us": 0}))
-                    down.append(node)
-                    recover_after = rng.randint(3, 12)
-            if env.storm_rate and rng.random() < env.storm_rate:
-                steps.append(
-                    Step(
-                        "storm_on",
-                        args={"duration_us": rng.randint(20_000, 200_000)},
-                    )
-                )
-            if env.corrupt_rate and rng.random() < env.corrupt_rate:
-                steps.append(
-                    Step(
-                        "corrupt",
-                        args={
-                            "node": rng.randrange(env.storage_nodes) + 1,
-                            "mode": rng.choice(["bitflip", "truncate"]),
-                        },
-                    )
-                )
-            if env.scrub_rate and rng.random() < env.scrub_rate:
-                steps.append(Step("scrub"))
-            if env.flush_rate and rng.random() < env.flush_rate:
-                steps.append(
-                    Step("flush_groups", args={"mw": rng.randrange(env.middlewares)})
-                )
-            if env.membership_rate and rng.random() < env.membership_rate:
-                if transitions < env.max_membership:
-                    roll = rng.random()
-                    if roll < 0.45 or len(population) <= env.replicas:
-                        steps.append(Step("add_node"))
-                        population.append(next_node)
-                        next_node += 1
-                    else:
-                        victim = population[rng.randrange(len(population))]
-                        kind = "drain_node" if roll < 0.80 else "remove_node"
-                        steps.append(Step(kind, args={"node": victim}))
-                        population.remove(victim)
-                    transitions += 1
-            if env.rebalance_rate and rng.random() < env.rebalance_rate:
-                steps.append(Step("rebalance", args={"max": rng.choice((8, 16, 32))}))
-            if env.partition_rate:
-                for entry in open_cuts:
-                    entry[1] -= 1
-                while open_cuts and open_cuts[0][1] <= 0:
-                    cut_id, _ = open_cuts.pop(0)
-                    steps.append(Step("heal", args={"cut": cut_id}))
-                if rng.random() < env.partition_rate:
-                    if len(open_cuts) < env.max_partitions:
-                        mw = rng.randrange(env.middlewares)
-                        pool = sorted(population)
-                        count = rng.randint(1, max(1, len(pool) // 2))
-                        nodes = sorted(rng.sample(pool, min(count, len(pool))))
-                        cut = f"c{next_cut}"
-                        next_cut += 1
-                        steps.append(
-                            Step(
-                                "partition",
-                                args={
-                                    "cut": cut,
-                                    "mw": mw,
-                                    "nodes": nodes,
-                                    "gossip": rng.random() < 0.35,
-                                    "mode": rng.choice(("both", "both", "in", "out")),
-                                },
-                            )
-                        )
-                        open_cuts.append([cut, rng.randint(6, 30)])
-            # -- background protocol steps
-            for kind, p in _SCENARIO_BG:
-                if rng.random() >= p:
-                    continue
-                if kind in ("merge", "drop_caches"):
-                    steps.append(
-                        Step(kind, args={"mw": rng.randrange(env.middlewares)})
-                    )
-                else:
-                    steps.append(Step(kind))
+            weaver.weave(steps)
+            weave_background(steps, rng, _SCENARIO_BG, env.middlewares)
             # -- the next arrival
             gap, burst_opened = arrivals.next_gap(now_us)
             now_us += gap
@@ -949,12 +830,7 @@ class ScenarioExplorer:
             else:
                 steps.append(Step("op", session=state.index, op=state.next_op(rng, spec, hotspot)))
                 emitted += 1
-        # Tail hygiene: nothing down, no cut open, no storm window open.
-        for node in down:
-            steps.append(Step("recover", args={"node": node, "delay_us": 0}))
-        for cut_id, _ in open_cuts:
-            steps.append(Step("heal", args={"cut": cut_id}))
-        steps.append(Step("storm_off"))
+        weaver.tail(steps)
         return Schedule(
             seed=spec.seed,
             config={**env.to_json(), "scenario": spec.to_json()},

@@ -15,6 +15,7 @@ from repro.bench.scale import (
     run_scenario,
     scenario_main,
 )
+from repro.dst.layers import Layers
 from repro.dst.schedule import Schedule
 from repro.workloads.scenarios import ScenarioExplorer, build_scenario, scenario_env
 
@@ -61,7 +62,7 @@ class TestScenarioRun:
             "steady-mix",
             tier="micro",
             seed=5,
-            env=scenario_env(faulty=True, corruption=True, membership=True),
+            env=scenario_env(Layers.parse("faulty+corruption+membership")),
         )
         a = run_scenario(spec)
         b = run_scenario(spec)
@@ -220,3 +221,21 @@ class TestScenarioCli:
     def test_name_required_without_replay(self, capsys):
         with pytest.raises(SystemExit):
             scenario_main([])
+
+    def test_layers_reach_the_saved_schedule(self, tmp_path, capsys):
+        saved = tmp_path / "schedule.json"
+        scenario_main(
+            ["steady-mix", "--tier", "micro", "--layers", "faulty+partitions",
+             "--save", str(saved)]
+        )
+        capsys.readouterr()
+        config = Schedule.loads(saved.read_text()).config
+        assert config["crash_rate"] > 0
+        assert config["partition_rate"] > 0 and config["hinted_handoff"]
+
+    @pytest.mark.parametrize("layers", ["sharded", "faulty+faulty", "bogus"])
+    def test_bad_layers_are_usage_errors(self, layers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            scenario_main(["steady-mix", "--tier", "micro", "--layers", layers])
+        assert exc.value.code == 2
+        capsys.readouterr()

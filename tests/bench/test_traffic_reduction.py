@@ -180,12 +180,11 @@ class TestGuard:
         self._write_pair(cand, headline, maintenance)
         assert any("scale mismatch" in v for v in compare(base, cand))
 
-    def test_committed_baseline_matches_regenerated(self, tmp_path):
+    def test_committed_baseline_matches_regenerated(self, bench_trajectory):
         """The repo-root artifacts must stay in sync with the code."""
         from pathlib import Path
 
         from repro.bench.harness import bench_scale
-        from repro.bench.trajectory import write_bench_artifacts
 
         repo_root = Path(__file__).resolve().parents[2]
         if not (repo_root / "BENCH_headline.json").exists():
@@ -199,5 +198,5 @@ class TestGuard:
             import pytest
 
             pytest.skip("committed baseline generated at a different scale")
-        write_bench_artifacts(tmp_path)
-        assert run_guard(repo_root, tmp_path) == 0
+        assert bench_trajectory.code == 0
+        assert run_guard(repo_root, bench_trajectory.out) == 0

@@ -2,13 +2,7 @@
 
 import json
 
-from repro.bench.__main__ import main as bench_main
-from repro.bench.trajectory import (
-    FORMAT,
-    headline_trajectory,
-    maintenance_trajectory,
-    write_bench_artifacts,
-)
+from repro.bench.trajectory import FORMAT, headline_trajectory, maintenance_trajectory
 
 
 class TestHeadline:
@@ -43,8 +37,8 @@ class TestMaintenance:
 
 
 class TestArtifacts:
-    def test_write_all_files(self, tmp_path):
-        written = write_bench_artifacts(tmp_path)
+    def test_write_all_files(self, bench_trajectory):
+        written = bench_trajectory.written
         assert [p.name for p in written] == [
             "BENCH_headline.json",
             "BENCH_maintenance.json",
@@ -62,9 +56,8 @@ class TestArtifacts:
         hugedir_doc = json.loads(written[5].read_text())
         assert hugedir_doc["artifact"] == "hugedir"
 
-    def test_bench_cli_trajectory(self, tmp_path, capsys):
-        assert bench_main(["trajectory", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_headline.json" in out
-        assert (tmp_path / "BENCH_maintenance.json").exists()
-        assert (tmp_path / "BENCH_rebalance.json").exists()
+    def test_bench_cli_trajectory(self, bench_trajectory):
+        assert bench_trajectory.code == 0
+        assert "BENCH_headline.json" in bench_trajectory.stdout
+        assert (bench_trajectory.out / "BENCH_maintenance.json").exists()
+        assert (bench_trajectory.out / "BENCH_rebalance.json").exists()

@@ -75,6 +75,42 @@ class TestCompactionWriteBack:
             mw0.store.get(namering_key(ns))
 
 
+class TestCompactionWaitsForPeerViews:
+    """Compaction on use keeps a tombstone while a peer shows the name
+    live: that stale view would merge the name back (paper §3.3.2;
+    pinned as DST corpus case ``seed105-d38026f1ddf3.json`` via the
+    ``tests.dst.tweaks:compact_past_stale_peers`` tweak)."""
+
+    def stale_peer(self, fs):
+        """mw1 loaded /d with ``doomed`` live; mw0 then deleted it and
+        the rumor was lost."""
+        mw0, mw1 = fs.middlewares
+        mw0.mkdir("alice", "/d")
+        mw0.write_file("alice", "/d/doomed", b"x")
+        mw0.write_file("alice", "/d/kept", b"y")
+        assert [e.name for e in mw1.list_dir("alice", "/d")] == ["doomed", "kept"]
+        mw0.delete_file("alice", "/d/doomed")
+        ns = mw0.lookup.resolve_dir("alice", "/d")
+        return mw0.fd_cache.lookup(ns), mw1.fd_cache.lookup(ns)
+
+    def test_refuses_while_a_peer_shows_the_name_live(self):
+        fs = lost_gossip_pair()
+        fd0, _ = self.stale_peer(fs)
+        assert fs.middlewares[0].list_dir("alice", "/d")[0].name == "kept"
+        tombstone = fd0.ring.get_any("doomed")
+        assert tombstone is not None and tombstone.deleted  # kept
+        fs.middlewares[1].fd_cache.drop_clean()  # the stale view is gone
+        fs.middlewares[0].list_dir("alice", "/d")
+        assert fd0.ring.get_any("doomed") is None  # now compacted
+
+    def test_compacts_once_the_peer_saw_the_tombstone(self):
+        fs = lost_gossip_pair()
+        fd0, fd1 = self.stale_peer(fs)
+        fd1.ring = fd1.ring.merge(fd0.ring)  # as if the rumor arrived
+        fs.middlewares[0].list_dir("alice", "/d")
+        assert fd0.ring.get_any("doomed") is None
+
+
 class TestMergerUsesMergedWritePath:
     def test_apply_preserves_concurrent_store_entries(self):
         """A merge folding mw0's chain must not erase a child another

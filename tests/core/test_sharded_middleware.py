@@ -9,7 +9,7 @@ collapse after deletes + GC, fsck's I9 walker, and account teardown.
 import pytest
 
 from repro.core import H2CloudFS, H2Config, H2Middleware, formatter, shards
-from repro.core.namespace import Namespace, namering_key
+from repro.core.namespace import Namespace, namering_key, ring_shard_key
 from repro.simcloud import SwiftCluster
 from repro.tools.fsck import H2Fsck
 
@@ -116,6 +116,30 @@ class TestShardedLifecycle:
         fs.gc()
         collapses = fs.middlewares[0].metrics.counter("shard.collapses")
         assert collapses.value == 1
+
+    def test_every_shard_get_is_counted(self):
+        """Gossip absorb, compaction and layout-transition reads count."""
+        fs = sharded_fs(middlewares=1)
+        names = populate(fs, 30)
+        ns = fs.middlewares[0].lookup.resolve_dir("alice", "/big")
+        prefix = ring_shard_key(ns, 0, 0).rsplit("/", 1)[0] + "/"
+        keys: list[str] = []
+        original = fs.store.get
+
+        def counting_get(key, *args, **kwargs):
+            keys.append(key)
+            return original(key, *args, **kwargs)
+
+        fs.store.get = counting_get
+        counter = fs.middlewares[0].metrics.counter("shard.shard_gets")
+        before = counter.value
+        fs.delete(f"/big/{names[0]}")
+        fs.pump()
+        assert fs.listdir("/big") == names[1:]  # compacts on use
+        fs.pump()
+        shard_gets = [key for key in keys if key.startswith(prefix)]
+        assert shard_gets  # the compaction write-back read the shards
+        assert counter.value - before == len(shard_gets)
 
     def test_fsck_clean_and_shards_reachable(self):
         fs = sharded_fs()

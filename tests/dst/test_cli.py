@@ -1,10 +1,13 @@
 """``python -m repro dst``: exit codes and wiring."""
 
 import json
+from pathlib import Path
 
-from repro.dst import DstConfig, ScheduleExplorer
-from repro.dst.cli import main as dst_main, sweep_config
-from repro.dst.corpus import corpus_entry
+import pytest
+
+from repro.dst import DstConfig, Layers, ScheduleExplorer, cli
+from repro.dst.cli import main as dst_main, sweep_config, sweep_layers
+from repro.dst.corpus import corpus_entry, load_case
 from repro.dst.runner import run_schedule
 
 
@@ -22,9 +25,32 @@ class TestRunAndSweep:
         assert sweep_config(1).crash_rate > 0.0
         assert sweep_config(0).check_model
 
-    def test_unknown_subcommand_is_a_usage_error(self, capsys):
-        import pytest
+    def test_sweep_names_each_seeds_effective_layers(self):
+        traffic = Layers.parse("traffic")
+        assert str(sweep_layers(4, traffic)) == "traffic"
+        assert str(sweep_layers(5, traffic)) == "faulty+traffic"
+        assert str(sweep_layers(5, Layers.parse("corruption"))) == "corruption"
+        # ``dst run --layers <effective>`` builds the sweep's config.
+        assert sweep_config(5, traffic) == Layers.parse("faulty+traffic").config()
 
+    def test_failing_sweep_seed_prints_its_layers(self, monkeypatch, capsys):
+        case = Path(__file__).resolve().parents[1] / "dst_corpus" / "seed2-a978d92008ac.json"
+        failing, _ = load_case(str(case))
+        monkeypatch.setattr(cli, "run_seed", lambda seed, config: run_schedule(failing))
+        assert dst_main(["sweep", "--seeds", "2", "--start", "4", "--layers", "traffic"]) == 1
+        out = capsys.readouterr().out
+        assert "  layers: traffic\n" in out
+        assert "  layers: faulty+traffic\n" in out
+
+    @pytest.mark.parametrize("layers", ["bogus", "faulty+faulty", "", "none+faulty"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "shrink"])
+    def test_bad_layers_are_usage_errors(self, command, layers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dst_main([command, "--layers", layers])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_unknown_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             dst_main(["frobnicate"])
         capsys.readouterr()

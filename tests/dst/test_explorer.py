@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dst import ClientOp, DstConfig, Schedule, ScheduleExplorer, Step
-from repro.dst.explorer import faulty_config, interleave_sessions
+from repro.dst.explorer import interleave_sessions
+from repro.dst.layers import Layers
 
 
 class TestStepAndSchedule:
@@ -41,7 +42,7 @@ class TestStepAndSchedule:
 
 class TestExplorer:
     def test_same_seed_same_schedule(self):
-        cfg = faulty_config()
+        cfg = Layers.parse("faulty").config()
         assert (
             ScheduleExplorer(13, cfg).explore().to_json()
             == ScheduleExplorer(13, cfg).explore().to_json()
@@ -63,12 +64,12 @@ class TestExplorer:
         }
 
     def test_faulty_schedules_contain_fault_machinery(self):
-        cfg = faulty_config(ops_per_session=50)
+        cfg = Layers.parse("faulty").config(ops_per_session=50)
         kinds = {s.kind for s in ScheduleExplorer(19, cfg).explore().steps}
         assert {"crash", "recover", "storm_on", "storm_off"} <= kinds
 
     def test_every_crash_gets_a_recover(self):
-        cfg = faulty_config(ops_per_session=60)
+        cfg = Layers.parse("faulty").config(ops_per_session=60)
         for seed in range(6):
             steps = ScheduleExplorer(seed, cfg).explore().steps
             crashes = sum(1 for s in steps if s.kind == "crash")
@@ -76,7 +77,7 @@ class TestExplorer:
             assert recovers >= crashes
 
     def test_max_down_never_exceeded(self):
-        cfg = faulty_config(ops_per_session=80, crash_rate=0.3)
+        cfg = Layers.parse("faulty").config(ops_per_session=80, crash_rate=0.3)
         down = 0
         for step in ScheduleExplorer(23, cfg).explore().steps:
             if step.kind == "crash":
@@ -86,7 +87,7 @@ class TestExplorer:
             assert down <= cfg.max_down
 
     def test_crash_targets_are_real_node_ids(self):
-        cfg = faulty_config(ops_per_session=80, crash_rate=0.3)
+        cfg = Layers.parse("faulty").config(ops_per_session=80, crash_rate=0.3)
         for seed in range(4):
             for step in ScheduleExplorer(seed, cfg).explore().steps:
                 if step.kind == "crash":

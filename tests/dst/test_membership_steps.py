@@ -1,21 +1,15 @@
 """DST coverage for elastic membership (PR 6).
 
-The nightly rebalance-storm sweep runs hundreds of seeds with
-``--membership``; these are the fast PR-tier slices: the V1-V7 oracle
+The nightly DST matrix runs hundreds of seeds with ``--layers
+membership``; these are the fast PR-tier slices: the V1-V7 oracle
 stays green with churn woven in, the membership steps round-trip
-through JSON and replay bit-identically, and the flag plumbing
+through JSON and replay bit-identically, and the layer plumbing
 (CLI -> DstConfig -> explorer weave) is intact.
 """
 
 from repro.dst.cli import sweep_config
-from repro.dst.explorer import (
-    DstConfig,
-    ScheduleExplorer,
-    corruption_config,
-    faulty_config,
-    with_membership_steps,
-    with_traffic_flags,
-)
+from repro.dst.explorer import DstConfig, ScheduleExplorer
+from repro.dst.layers import Layers
 from repro.dst.runner import run_schedule, run_seed
 from repro.dst.schedule import Schedule, Step
 
@@ -36,30 +30,28 @@ def _churny_seed(config: DstConfig, limit: int = 50) -> int:
 
 class TestChurnRuns:
     def test_clean_seed_passes_with_membership_churn(self):
-        config = with_membership_steps(
-            DstConfig(sessions=2, ops_per_session=15)
-        )
+        config = Layers.parse("membership").config(sessions=2, ops_per_session=15)
         result = run_seed(_churny_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
         assert result.model_checked
 
     def test_faulty_seed_passes_with_membership_churn(self):
-        config = with_membership_steps(
-            faulty_config(sessions=2, ops_per_session=15)
+        config = Layers.parse("faulty+membership").config(
+            sessions=2, ops_per_session=15
         )
         result = run_seed(_churny_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
 
     def test_corruption_seed_passes_with_membership_churn(self):
-        config = with_membership_steps(
-            corruption_config(sessions=2, ops_per_session=15)
+        config = Layers.parse("corruption+membership").config(
+            sessions=2, ops_per_session=15
         )
         result = run_seed(_churny_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
 
     def test_traffic_and_membership_layer_together(self):
-        config = with_membership_steps(
-            with_traffic_flags(faulty_config(sessions=2, ops_per_session=12))
+        config = Layers.parse("faulty+traffic+membership").config(
+            sessions=2, ops_per_session=12
         )
         result = run_seed(_churny_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
@@ -67,9 +59,7 @@ class TestChurnRuns:
 
 class TestScheduleWeave:
     def test_churn_on_schedules_contain_membership_steps(self):
-        config = with_membership_steps(
-            DstConfig(sessions=3, ops_per_session=25)
-        )
+        config = Layers.parse("membership").config(sessions=3, ops_per_session=25)
         seed = _churny_seed(config)
         kinds = {
             s.kind for s in ScheduleExplorer(seed, config).explore().steps
@@ -83,9 +73,7 @@ class TestScheduleWeave:
         assert all(s.kind not in MEMBERSHIP_KINDS for s in schedule.steps)
 
     def test_transitions_capped_per_schedule(self):
-        config = with_membership_steps(
-            DstConfig(sessions=3, ops_per_session=60)
-        )
+        config = Layers.parse("membership").config(sessions=3, ops_per_session=60)
         for seed in range(10):
             schedule = ScheduleExplorer(seed, config).explore()
             transitions = sum(
@@ -112,8 +100,8 @@ class TestScheduleWeave:
 
 class TestStepSemantics:
     def test_steps_round_trip_and_replay_bit_identically(self):
-        config = with_membership_steps(
-            faulty_config(sessions=2, ops_per_session=12)
+        config = Layers.parse("faulty+membership").config(
+            sessions=2, ops_per_session=12
         )
         schedule = ScheduleExplorer(_churny_seed(config), config).explore()
         first = run_schedule(schedule)
@@ -160,7 +148,7 @@ class TestStepSemantics:
 
 class TestSweepPlumbing:
     def test_sweep_config_layers_membership(self):
-        config = sweep_config(seed=4, membership=True)
+        config = sweep_config(4, Layers.parse("membership"))
         assert config.membership_rate > 0
         assert config.rebalance_rate > 0
 
@@ -170,7 +158,7 @@ class TestSweepPlumbing:
         assert config.rebalance_rate == 0.0
 
     def test_membership_layers_over_faulty_and_corruption(self):
-        odd = sweep_config(seed=5, membership=True)  # odd seed: faulty
+        odd = sweep_config(5, Layers.parse("membership"))  # odd seed: faulty
         assert odd.crash_rate > 0 and odd.membership_rate > 0
-        storm = sweep_config(seed=6, corruption=True, membership=True)
+        storm = sweep_config(6, Layers.parse("corruption+membership"))
         assert storm.bitrot_rate > 0 and storm.membership_rate > 0

@@ -1,10 +1,10 @@
 """DST coverage for network partitions + hinted handoff (V8).
 
-The nightly partition-storm sweep runs hundreds of seeds with
-``--partitions``; these are the fast PR-tier slices: the V1-V8 oracle
+The nightly DST matrix runs hundreds of seeds with ``--layers
+partitions``; these are the fast PR-tier slices: the V1-V8 oracle
 stays green with cuts woven in (alone and layered with every other
 regime), partition/heal steps round-trip through JSON and replay
-bit-identically, the flag plumbing is intact, and -- the digest-safety
+bit-identically, the layer plumbing is intact, and -- the digest-safety
 satellite -- the per-link MessageLoss refactor and the armed-but-idle
 partition plan leave every pre-partition corpus digest byte-identical.
 """
@@ -13,15 +13,8 @@ import json
 import pathlib
 
 from repro.dst.cli import sweep_config
-from repro.dst.explorer import (
-    DstConfig,
-    ScheduleExplorer,
-    corruption_config,
-    faulty_config,
-    with_membership_steps,
-    with_partition_steps,
-    with_traffic_flags,
-)
+from repro.dst.explorer import DstConfig, ScheduleExplorer
+from repro.dst.layers import Layers
 from repro.dst.runner import run_schedule, run_seed
 from repro.dst.schedule import Schedule, Step
 from repro.simcloud.failures import MessageLoss
@@ -42,37 +35,35 @@ def _cutty_seed(config: DstConfig, limit: int = 50) -> int:
 
 class TestPartitionRuns:
     def test_clean_seed_passes_with_partitions(self):
-        config = with_partition_steps(
-            DstConfig(sessions=2, ops_per_session=15)
-        )
+        config = Layers.parse("partitions").config(sessions=2, ops_per_session=15)
         result = run_seed(_cutty_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
         assert result.model_checked
 
     def test_faulty_seed_passes_with_partitions(self):
-        config = with_partition_steps(
-            faulty_config(sessions=2, ops_per_session=15)
+        config = Layers.parse("faulty+partitions").config(
+            sessions=2, ops_per_session=15
         )
         result = run_seed(_cutty_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
 
     def test_corruption_seed_passes_with_partitions(self):
-        config = with_partition_steps(
-            corruption_config(sessions=2, ops_per_session=15)
+        config = Layers.parse("corruption+partitions").config(
+            sessions=2, ops_per_session=15
         )
         result = run_seed(_cutty_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
 
     def test_partitions_layer_with_membership_churn(self):
-        config = with_partition_steps(
-            with_membership_steps(faulty_config(sessions=2, ops_per_session=12))
+        config = Layers.parse("faulty+membership+partitions").config(
+            sessions=2, ops_per_session=12
         )
         result = run_seed(_cutty_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
 
     def test_partitions_layer_with_traffic_flags(self):
-        config = with_partition_steps(
-            with_traffic_flags(faulty_config(sessions=2, ops_per_session=12))
+        config = Layers.parse("faulty+traffic+partitions").config(
+            sessions=2, ops_per_session=12
         )
         result = run_seed(_cutty_seed(config), config)
         assert result.ok, [v.detail for v in result.violations]
@@ -80,19 +71,19 @@ class TestPartitionRuns:
 
 class TestScheduleWeave:
     def test_partition_on_schedules_contain_cut_steps(self):
-        config = with_partition_steps(DstConfig(sessions=3, ops_per_session=25))
+        config = Layers.parse("partitions").config(sessions=3, ops_per_session=25)
         seed = _cutty_seed(config)
         kinds = {s.kind for s in ScheduleExplorer(seed, config).explore().steps}
         assert kinds & PARTITION_KINDS
 
     def test_partition_off_schedules_do_not(self):
         schedule = ScheduleExplorer(
-            1, faulty_config(sessions=3, ops_per_session=25)
+            1, Layers.parse("faulty").config(sessions=3, ops_per_session=25)
         ).explore()
         assert all(s.kind not in PARTITION_KINDS for s in schedule.steps)
 
     def test_every_cut_is_healed_by_the_tail(self):
-        config = with_partition_steps(DstConfig(sessions=3, ops_per_session=40))
+        config = Layers.parse("partitions").config(sessions=3, ops_per_session=40)
         for seed in range(10):
             schedule = ScheduleExplorer(seed, config).explore()
             opened = [
@@ -104,7 +95,7 @@ class TestScheduleWeave:
             assert sorted(opened) == sorted(healed)
 
     def test_cuts_target_a_minority_of_storage_nodes(self):
-        config = with_partition_steps(DstConfig(sessions=3, ops_per_session=40))
+        config = Layers.parse("partitions").config(sessions=3, ops_per_session=40)
         for seed in range(10):
             for step in ScheduleExplorer(seed, config).explore().steps:
                 if step.kind == "partition":
@@ -113,11 +104,11 @@ class TestScheduleWeave:
     def test_partition_knobs_leave_legacy_schedules_identical(self):
         """Rate-guard regression: knobs at 0 must not shift the rng."""
         before = ScheduleExplorer(
-            9, faulty_config(sessions=2, ops_per_session=20)
+            9, Layers.parse("faulty").config(sessions=2, ops_per_session=20)
         ).explore()
         again = ScheduleExplorer(
             9,
-            faulty_config(
+            Layers.parse("faulty").config(
                 sessions=2, ops_per_session=20, max_partitions=99
             ),
         ).explore()
@@ -128,8 +119,8 @@ class TestScheduleWeave:
 
 class TestStepSemantics:
     def test_steps_round_trip_and_replay_bit_identically(self):
-        config = with_partition_steps(
-            faulty_config(sessions=2, ops_per_session=12)
+        config = Layers.parse("faulty+partitions").config(
+            sessions=2, ops_per_session=12
         )
         schedule = ScheduleExplorer(_cutty_seed(config), config).explore()
         first = run_schedule(schedule)
@@ -138,7 +129,7 @@ class TestStepSemantics:
         assert first.ok == second.ok
 
     def test_partition_and_heal_outcomes(self):
-        config = with_partition_steps(DstConfig(sessions=1, ops_per_session=3))
+        config = Layers.parse("partitions").config(sessions=1, ops_per_session=3)
         schedule = ScheduleExplorer(0, config).explore()
         schedule.steps.insert(
             0,
@@ -156,7 +147,7 @@ class TestStepSemantics:
     def test_heal_of_unknown_cut_is_a_noop(self):
         """Shrunk schedules may keep a heal whose partition step was
         deleted; it must replay as a deterministic no-op."""
-        config = with_partition_steps(DstConfig(sessions=1, ops_per_session=3))
+        config = Layers.parse("partitions").config(sessions=1, ops_per_session=3)
         schedule = ScheduleExplorer(0, config).explore()
         schedule.steps.insert(0, Step("heal", args={"cut": "never-opened"}))
         result = run_schedule(schedule)
@@ -166,7 +157,7 @@ class TestStepSemantics:
     def test_quiesce_heals_cuts_a_schedule_left_open(self):
         """A shrunk schedule may drop the heal; V8 still requires a
         whole network and an empty hint store, so quiesce must heal."""
-        config = with_partition_steps(DstConfig(sessions=1, ops_per_session=5))
+        config = Layers.parse("partitions").config(sessions=1, ops_per_session=5)
         schedule = ScheduleExplorer(0, config).explore()
         schedule.steps.insert(
             len(schedule.steps) // 2,
@@ -187,7 +178,7 @@ class TestStepSemantics:
 
 class TestSweepPlumbing:
     def test_sweep_config_layers_partitions(self):
-        config = sweep_config(seed=4, partitions=True)
+        config = sweep_config(4, Layers.parse("partitions"))
         assert config.partition_rate > 0
         assert config.hinted_handoff
 
@@ -197,11 +188,11 @@ class TestSweepPlumbing:
         assert not config.hinted_handoff
 
     def test_partitions_layer_over_every_mix(self):
-        odd = sweep_config(seed=5, partitions=True)  # odd seed: faulty
+        odd = sweep_config(5, Layers.parse("partitions"))  # odd seed: faulty
         assert odd.crash_rate > 0 and odd.partition_rate > 0
-        storm = sweep_config(seed=6, corruption=True, partitions=True)
+        storm = sweep_config(6, Layers.parse("corruption+partitions"))
         assert storm.bitrot_rate > 0 and storm.partition_rate > 0
-        churn = sweep_config(seed=7, membership=True, partitions=True)
+        churn = sweep_config(7, Layers.parse("membership+partitions"))
         assert churn.membership_rate > 0 and churn.partition_rate > 0
 
 

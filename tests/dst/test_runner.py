@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dst import DstConfig, ScheduleExplorer, faulty_config, run_schedule, run_seed
+from repro.dst import DstConfig, Layers, ScheduleExplorer, run_schedule, run_seed
 from repro.dst.cli import sweep_config
 from repro.dst.runner import resolve_tweak
 from repro.dst.schedule import Schedule
@@ -20,14 +20,15 @@ class TestDeterminism:
         assert a.outcomes == b.outcomes
 
     def test_same_seed_identical_digest_faulty(self):
-        cfg = faulty_config(**SMALL)
+        cfg = Layers.parse("faulty").config(**SMALL)
         a = run_seed(7, cfg)
         b = run_seed(7, cfg)
         assert a.digest == b.digest
         assert a.makespan_us == b.makespan_us
 
     def test_serialised_schedule_replays_identically(self):
-        schedule = ScheduleExplorer(3, faulty_config(**SMALL)).explore()
+        config = Layers.parse("faulty").config(**SMALL)
+        schedule = ScheduleExplorer(3, config).explore()
         direct = run_schedule(schedule)
         replayed = run_schedule(Schedule.loads(schedule.dumps()))
         assert replayed.digest == direct.digest
@@ -51,9 +52,8 @@ class TestInvariants:
             assert result.ok, (seed, [str(v) for v in result.violations])
 
     def test_faulty_runs_quiesce_to_full_health(self):
-        result = run_schedule(
-            ScheduleExplorer(9, faulty_config(**SMALL)).explore(), keep_fs=True
-        )
+        config = Layers.parse("faulty").config(**SMALL)
+        result = run_schedule(ScheduleExplorer(9, config).explore(), keep_fs=True)
         assert result.ok, [str(v) for v in result.violations]
         assert all(not n.is_down for n in result.fs.store.nodes.values())
 

@@ -1,17 +1,18 @@
 """DST coverage for sharded NameRings, as fast tier-1 slices.
 
-The nightly ``huge-directory`` job sweeps hundreds of ``--sharded``
-seeds.  These slices keep the same ground covered on every run: V1-V8
+The nightly DST matrix sweeps hundreds of seeds with ``--layers
+sharded``.  These slices keep the same ground covered on every run: V1-V8
 stay green with sharding armed on a fault-free and on a faulty seed, a
 fixed run of seeds crosses every layout transition (split, reshard,
-and the collapse GC's compaction makes), and ``sweep_config(sharded=
-True)`` arms the DST-sized thresholds on top of the fault mix.
+and the collapse GC's compaction makes), and the ``sharded`` layer
+arms the DST-sized thresholds on top of the fault mix.
 """
 
 from dataclasses import replace
 
 from repro.dst.cli import sweep_config
 from repro.dst.explorer import ScheduleExplorer
+from repro.dst.layers import Layers
 from repro.dst.runner import run_schedule, run_seed
 
 #: Seeds 10-21 of the sharded sweep split 16 times and reshard 3 times;
@@ -21,14 +22,14 @@ TRANSITION_SEEDS = range(10, 22)
 
 class TestShardedRuns:
     def test_fault_free_seed_passes(self):
-        config = sweep_config(0, sharded=True)
+        config = sweep_config(0, Layers.parse("sharded"))
         assert config.crash_rate == 0.0
         result = run_seed(0, config)
         assert result.ok, [v.detail for v in result.violations]
         assert result.model_checked
 
     def test_faulty_seed_passes(self):
-        config = sweep_config(1, sharded=True)
+        config = sweep_config(1, Layers.parse("sharded"))
         assert config.crash_rate > 0.0
         result = run_seed(1, config)
         assert result.ok, [v.detail for v in result.violations]
@@ -36,7 +37,7 @@ class TestShardedRuns:
     def test_seeds_cross_every_layout_transition(self):
         totals = dict.fromkeys(("splits", "reshards", "collapses"), 0)
         for seed in TRANSITION_SEEDS:
-            config = sweep_config(seed, sharded=True)
+            config = sweep_config(seed, Layers.parse("sharded"))
             result = run_schedule(
                 ScheduleExplorer(seed, config).explore(), keep_fs=True
             )
@@ -51,7 +52,7 @@ class TestShardedRuns:
 
 class TestShardedConfig:
     def test_sweep_config_arms_thresholds_over_the_fault_mix(self):
-        config = sweep_config(1, sharded=True)
+        config = sweep_config(1, Layers.parse("sharded"))
         assert config.sharded_rings
         assert (
             config.shard_split_threshold,

@@ -1,38 +1,32 @@
 """DST coverage for the traffic-reduction flags (PR 5).
 
-The nightly sweep runs hundreds of seeds with ``--traffic``; these are
-the fast PR-tier slices of that: the oracle stays green with the whole
-layer on, the ``flush_groups`` step round-trips, and the flag plumbing
+The nightly DST matrix runs hundreds of seeds with ``--layers
+traffic``; these are the fast PR-tier slices of that: the oracle stays
+green with the whole layer on, the ``flush_groups`` step round-trips, and the layer plumbing
 (CLI -> DstConfig -> H2Config) is intact.
 """
 
 from repro.dst.cli import sweep_config
-from repro.dst.explorer import (
-    DstConfig,
-    ScheduleExplorer,
-    faulty_config,
-    with_traffic_flags,
-)
+from repro.dst.explorer import DstConfig, ScheduleExplorer
+from repro.dst.layers import Layers
 from repro.dst.runner import run_schedule, run_seed
 from repro.dst.schedule import Schedule, Step
 
 
 class TestFlagsOnRuns:
     def test_clean_seed_passes_with_traffic_flags(self):
-        config = with_traffic_flags(DstConfig(sessions=2, ops_per_session=10))
+        config = Layers.parse("traffic").config(sessions=2, ops_per_session=10)
         result = run_seed(3, config)
         assert result.ok, [v.detail for v in result.violations]
         assert result.model_checked
 
     def test_faulty_seed_passes_with_traffic_flags(self):
-        config = with_traffic_flags(
-            faulty_config(sessions=2, ops_per_session=10)
-        )
+        config = Layers.parse("faulty+traffic").config(sessions=2, ops_per_session=10)
         result = run_seed(7, config)
         assert result.ok, [v.detail for v in result.violations]
 
     def test_flags_on_schedules_contain_flush_steps(self):
-        config = with_traffic_flags(DstConfig(sessions=2, ops_per_session=25))
+        config = Layers.parse("traffic").config(sessions=2, ops_per_session=25)
         schedule = ScheduleExplorer(1, config).explore()
         kinds = {step.kind for step in schedule.steps}
         assert "flush_groups" in kinds
@@ -46,14 +40,14 @@ class TestFlagsOnRuns:
 
 class TestFlushGroupsStep:
     def test_step_is_replayable_and_deterministic(self):
-        config = with_traffic_flags(DstConfig(sessions=2, ops_per_session=8))
+        config = Layers.parse("traffic").config(sessions=2, ops_per_session=8)
         schedule = ScheduleExplorer(11, config).explore()
         first = run_schedule(schedule)
         second = run_schedule(Schedule.loads(schedule.dumps()))
         assert first.digest == second.digest
 
     def test_flushed_group_leaves_nothing_for_the_next_flush(self):
-        config = with_traffic_flags(DstConfig(sessions=1, ops_per_session=1))
+        config = Layers.parse("traffic").config(sessions=1, ops_per_session=1)
         schedule = ScheduleExplorer(0, config).explore()
         schedule.steps.append(Step("flush_groups", args={"mw": 0}))
         schedule.steps.append(Step("flush_groups", args={"mw": 0}))
@@ -63,7 +57,7 @@ class TestFlushGroupsStep:
 
 class TestSweepPlumbing:
     def test_sweep_config_layers_traffic_flags(self):
-        config = sweep_config(seed=4, traffic=True)
+        config = sweep_config(4, Layers.parse("traffic"))
         assert config.negative_cache
         assert config.group_commit
         assert config.gossip_digests
@@ -77,6 +71,6 @@ class TestSweepPlumbing:
         assert config.flush_rate == 0.0
 
     def test_traffic_layers_over_the_faulty_mix(self):
-        config = sweep_config(seed=5, traffic=True)  # odd seed: faulty
+        config = sweep_config(5, Layers.parse("traffic"))  # odd seed: faulty
         assert config.crash_rate > 0  # the base mix survives layering
         assert config.group_commit

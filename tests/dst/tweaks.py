@@ -127,3 +127,18 @@ def lose_merge_updates(fs) -> None:
             _original(fd)
 
         mw.store_ring = buggy_store_ring
+
+
+def compact_past_stale_peers(fs) -> None:
+    """Compaction on use ignores peers' stale views of the ring.
+
+    Reintroduces the pre-fix ``_compact_in_use`` guard, which checked
+    only for queued rumors and dirty peers.  A cut that keeps a merge's
+    rumor from two peers leaves them a clean view with a since-deleted
+    name live; the deleting node compacts the tombstone away on its
+    next LIST, hinted handoff carries the compacted ring past the cut,
+    and after the heal the stale live tuple merges back -- the deleted
+    name resurrects (V1).
+    """
+    for mw in fs.middlewares:
+        mw._peer_views_current = lambda fd: True

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dst.explorer import DstConfig
+from repro.dst.layers import Layers
 from repro.workloads import ZipfSampler
 from repro.workloads.scenarios import (
     HOTSPOT_DIR,
@@ -222,11 +223,27 @@ class TestScenarioEnv:
         assert not env.check_model
 
     def test_flags_arm_their_subsystems(self):
-        assert scenario_env(faulty=True).crash_rate > 0
-        assert scenario_env(corruption=True).corrupt_rate > 0
-        assert scenario_env(corruption=True).scrub_rate > 0
-        assert scenario_env(membership=True).membership_rate > 0
-        assert scenario_env(traffic=True).negative_cache
+        assert scenario_env(Layers.parse("faulty")).crash_rate > 0
+        assert scenario_env(Layers.parse("corruption")).corrupt_rate > 0
+        assert scenario_env(Layers.parse("corruption")).scrub_rate > 0
+        assert scenario_env(Layers.parse("membership")).membership_rate > 0
+        assert scenario_env(Layers.parse("traffic")).negative_cache
+        assert scenario_env(Layers.parse("partitions")).hinted_handoff
+
+    def test_layers_take_scenario_rates(self):
+        env = scenario_env(Layers.parse("faulty+partitions"))
+        dst = Layers.parse("faulty+partitions").config()
+        assert 0 < env.crash_rate < dst.crash_rate
+        assert 0 < env.partition_rate < dst.partition_rate
+
+    def test_sharded_has_no_scenario_form(self):
+        with pytest.raises(ValueError, match="sharded"):
+            scenario_env(Layers.parse("sharded"))
+
+    def test_split_brain_storm_takes_the_partition_layer(self):
+        spec = build_scenario("split-brain-storm", tier="micro")
+        expected = scenario_env(Layers.parse("faulty+partitions"))
+        assert spec.env == expected
 
 
 class TestExplorer:
