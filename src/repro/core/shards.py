@@ -158,18 +158,33 @@ class Layout:
             return namering_key(self.ns)
         return ring_shard_key(self.ns, self.manifest.epoch, k)
 
-    def fetch(self, store: ObjectStore, k: int, counters=None):
-        """Unit ``k``'s stored ``(bytes, ring)``; absent bytes are None
-        and read as an empty ring.  The one unit came with the layout."""
+    def fetch(self, store: ObjectStore, ks, counters=None, fan_out=False):
+        """Units ``ks``' stored ``(bytes, ring)`` by unit; absent bytes
+        are None and read as an empty ring.  The one unit came with the
+        layout.  ``fan_out`` issues the GETs through the store's
+        connection pool; every GET is issued before the first
+        QuorumError raises.  ``counters["get"]`` counts the GETs."""
         if self.manifest is None:
-            return self.head
-        try:
-            data = store.get(self.key(k)).data
-            unit = data, formatter.loads_shard(data)
-        except ObjectNotFound:
-            unit = None, NameRing.empty()
-        _bump(counters, "get")
-        return unit
+            return {k: self.head for k in ks}
+
+        def get(k: int):
+            try:
+                return store.get(self.key(k)).data
+            except ObjectNotFound:
+                return None
+            except QuorumError as exc:
+                return exc
+
+        thunks = [lambda k=k: get(k) for k in ks]
+        outcomes = store.parallel(thunks) if fan_out else [t() for t in thunks]
+        units = {}
+        for k, data in zip(ks, outcomes):
+            if isinstance(data, QuorumError):
+                raise data
+            ring = NameRing.empty() if data is None else formatter.loads_shard(data)
+            units[k] = data, ring
+        _bump(counters, "get", len(units))
+        return units
 
 
 def open_layout(store: ObjectStore, ns: Namespace) -> Layout:
@@ -216,35 +231,11 @@ def read_stored(
     layout = open_layout(store, ns)
     if layout.manifest is None:
         return StoredRing(ring=layout.head[1], manifest=None)
-
-    def fetch(key: str):
-        try:
-            return ("ok", store.get(key).data)
-        except ObjectNotFound:
-            return ("missing", None)
-        except QuorumError as exc:
-            return ("error", exc)
-
-    keys = shard_keys(ns, layout.manifest)
-    if fan_out:
-        outcomes = store.parallel([lambda key=key: fetch(key) for key in keys])
-    else:
-        outcomes = [fetch(key) for key in keys]
-    shards: list[NameRing] = []
-    merged: dict = {}
-    for status, payload in outcomes:
-        if status == "error":
-            raise payload
-        if status == "missing":
-            shards.append(NameRing.empty())
-            continue
-        shard = formatter.loads_shard(payload)
-        shards.append(shard)
-        merged.update(shard.children)
-    _bump(counters, "get", len(keys))
-    return StoredRing(
-        ring=NameRing(children=merged), manifest=layout.manifest, shards=shards
+    units = layout.fetch(
+        store, range(layout.manifest.shard_count), counters, fan_out
     )
+    shards = [ring for _, ring in units.values()]
+    return StoredRing(ring=_union(shards), manifest=layout.manifest, shards=shards)
 
 
 def write_stored(
@@ -327,12 +318,14 @@ def merge_write(
     ``extra`` is merged into the cached ring once.  Each dirty unit --
     holding a name of ``extra`` or ``fd.dirty_names``; the one unit
     always -- is skipped if its local digest equals the stored one,
-    else fetched, absorbed into the cache and, if a shard, PUT merged
-    unless its bytes are unchanged.  Then the manifest commits, or
-    ``write_full(fd)`` writes the whole ring: the one unit's write is
-    its commit (skipped if ``elide`` and its bytes are unchanged), and
-    so is a split, reshard or collapse.  A read's QuorumError stops the
-    write-back (safe: writes are monotone) or, if ``strict``, raises.
+    else fetched and, if a shard, PUT merged unless its bytes are
+    unchanged.  A split, reshard or collapse then fetches the units the
+    loop did not.  Every fetched unit is absorbed into the cache.  Then
+    the manifest commits, or ``write_full(fd)`` writes the whole ring:
+    the one unit's write is its commit (skipped if ``elide`` and its
+    bytes are unchanged), and so is a layout transition.  A read's
+    QuorumError stops the write-back (safe: writes are monotone) or, if
+    ``strict``, raises.
     """
     try:
         layout = open_layout(store, fd.ns)
@@ -353,19 +346,18 @@ def merge_write(
         count, digests = stored.shard_count, list(stored.digests)
         dirty = {shard_of(name, count) for name in pending}
         units = sorted(extract_shards(fd.ring, count, dirty).items())
-    absorbed: list[NameRing] = []
+    fetched: dict[int, tuple] = {}  # each fetched unit's (bytes, ring)
     for k, local in units:
         if stored is not None and digest_of(local) == digests[k]:
             _bump(counters, "skip")
             continue
         try:
-            data, ring = layout.fetch(store, k, counters)
+            data, ring = layout.fetch(store, [k], counters)[k]
         except QuorumError:
             if strict:
                 raise
             return
-        if data is not None:
-            absorbed.append(ring)
+        fetched[k] = data, ring
         if stored is None:
             continue  # the commit writes the one unit
         merged = local.merge(ring)
@@ -376,14 +368,26 @@ def merge_write(
             store.put(layout.key(k), payload)
             _bump(counters, "put")
         digests[k] = digest_of(merged)
+    transition = False
+    if stored is not None:
+        total = sum(digest.entries for digest in digests)
+        transition = (
+            policy.should_collapse(total) or policy.desired_count(total) > count
+        )
+    if transition:
+        # A reshard or collapse rewrites every unit: the cache must
+        # first see the shards it had no dirty names in.
+        rest = [k for k in range(count) if k not in fetched]
+        try:
+            rest_units = layout.fetch(store, rest, counters, fan_out=True)
+        except QuorumError:
+            if strict:
+                raise
+            return
+        fetched.update(rest_units)
+    absorbed = [ring for data, ring in fetched.values() if data is not None]
     if absorbed:
-        # Units are name-disjoint; a lone unit is absorbed uncopied.
-        union = absorbed[0]
-        if len(absorbed) > 1:
-            union = NameRing(
-                children={n: c for r in absorbed for n, c in r.children.items()}
-            )
-        merged, _ = fd.ring.merge_changes(union)
+        merged, _ = fd.ring.merge_changes(_union(absorbed))
         if merged is not fd.ring:
             fd.ring = merged
             if fd.negative:
@@ -396,29 +400,21 @@ def merge_write(
         else:
             fd.layout = None
             return write_full(fd)
+    elif transition:
+        fd.layout = stored
+        return write_full(fd)
     else:
-        total = sum(digest.entries for digest in digests)
-        if policy.should_collapse(total) or policy.desired_count(total) > count:
-            # A reshard or collapse rewrites every unit: the cache must
-            # first see the shards it had no dirty names in.
-            try:
-                loaded = read_stored(
-                    store, fd.ns, fan_out=True, counters=counters
-                )
-            except ObjectNotFound:
-                loaded = None
-            except QuorumError:
-                if strict:
-                    raise
-                return
-            if loaded is not None:
-                fd.ring = fd.ring.merge(loaded.ring)
-                fd.layout = loaded.manifest
-            return write_full(fd)
         manifest = _commit(store, fd.ns, stored, digests)
     fd.layout = manifest
     fd.merged_version = fd.ring.version
     fd.dirty_names.difference_update(pending)
+
+
+def _union(rings: list[NameRing]) -> NameRing:
+    """One ring of name-disjoint units; a lone unit is used uncopied."""
+    if len(rings) == 1:
+        return rings[0]
+    return NameRing(children={n: c for r in rings for n, c in r.children.items()})
 
 
 def delete_stored(store: ObjectStore, ns: Namespace) -> None:

@@ -179,7 +179,7 @@ class H2Fsck:
             key = layout.key(k)
             reachable.add(key)
             try:
-                payload, shard = layout.fetch(self._store, k)
+                payload, shard = layout.fetch(self._store, [k])[k]
             except CorruptObjectError:
                 report.corrupt_replicas.append(
                     f"I8 {key}: shard unrecoverable (no verified replica)"

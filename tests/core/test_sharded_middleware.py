@@ -141,6 +141,35 @@ class TestShardedLifecycle:
         assert shard_gets  # the compaction write-back read the shards
         assert counter.value - before == len(shard_gets)
 
+    def test_reshard_reads_each_shard_once(self):
+        """A reshard fetches only the shards the dirty-unit loop did not."""
+        fs = sharded_fs(middlewares=1)
+        populate(fs, 30)  # 8 shards; 45 entries pass 8 * 5 and reshard
+        ns, data = stored_nr(fs)
+        epoch = formatter.loads_manifest(data).epoch
+        prefix = ring_shard_key(ns, 0, 0).rsplit("/", 1)[0] + "/"
+        keys = []
+        original = fs.store.get
+
+        def recording_get(key, *args, **kwargs):
+            keys.append(key)
+            return original(key, *args, **kwargs)
+
+        fs.store.get = recording_get
+        counter = fs.middlewares[0].metrics.counter("shard.shard_gets")
+        before = counter.value
+        fs.write_many("/big", [(f"g{i:04d}", b"x") for i in range(15)])
+        fs.pump()
+        manifest = formatter.loads_manifest(stored_nr(fs)[1])
+        assert (manifest.shard_count, manifest.epoch) == (16, epoch + 1)
+        shard_gets = [key for key in keys if key.startswith(prefix)]
+        assert len(shard_gets) == 8  # every old shard, each once
+        assert len(set(shard_gets)) == len(shard_gets)
+        assert counter.value - before == len(shard_gets)
+        assert fs.listdir("/big") == sorted(
+            [f"f{i:04d}" for i in range(30)] + [f"g{i:04d}" for i in range(15)]
+        )
+
     def test_fsck_clean_and_shards_reachable(self):
         fs = sharded_fs()
         populate(fs, 20)
