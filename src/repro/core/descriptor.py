@@ -44,8 +44,9 @@ class FileDescriptor:
     layout: ShardManifest | None = None
     #: names whose cached ring entry may be ahead of the store -- the
     #: sharded write-back's dirty-shard set.  Populated by gossip
-    #: absorbs and anti-entropy pulls (patch contents arrive as
-    #: ``extra`` instead); cleared per-name once written back.
+    #: absorbs, anti-entropy pulls and compaction on use (the dropped
+    #: tombstones; patch contents arrive as ``extra`` instead);
+    #: cleared per-name once written back.
     dirty_names: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:

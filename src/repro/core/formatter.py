@@ -70,10 +70,14 @@ _SAFE = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~ ,:;@
 
 
 def escape(text: str) -> str:
+    if not text.rstrip(_SAFE):
+        return text  # nothing to quote: urllib would return it as is
     return _quote(text, safe=_SAFE)
 
 
 def unescape(text: str) -> str:
+    if "%" not in text:
+        return text
     try:
         return _unquote(text, errors="strict")
     except UnicodeDecodeError as exc:

@@ -1083,6 +1083,11 @@ class H2Middleware:
                 return
         if fd.dirty:
             return
+        # The store still holds the dropped tombstones: their units are
+        # what the write-back rewrites.
+        fd.dirty_names.update(
+            name for name, child in fd.ring.children.items() if child.deleted
+        )
         fd.ring = fd.ring.compacted()
         self.background(lambda: self._write_back_compacted(fd))
 
@@ -1121,28 +1126,22 @@ class H2Middleware:
         compacted ring would durably erase them (the DST corpus case
         pinned by ``tests.dst.tweaks:blind_compaction_write``).  So the
         write-back is read-merge-write like every other background
-        write: merge the stored version in, compact *that*, and PUT.
-        The cached ring stays as the guards left it -- the served view
-        is unchanged either way.
+        write, over the units that hold the dropped tombstones: each is
+        merged with its stored copy, compacted and PUT if its bytes
+        changed (:func:`repro.core.shards.merge_write`).  The cached
+        ring stays as the guards left it -- the served view is
+        unchanged either way.
         """
-        try:
-            loaded = shards.read_stored(
-                self.store, fd.ns, counters=self.ring_counters
-            )
-        except ObjectNotFound:
-            # The ring object vanished (account teardown / GC); writing
-            # our cached copy back would resurrect it.
-            return
-        merged = loaded.ring.merge(fd.ring).compacted()
-        fd.layout = shards.write_stored(
+        shards.merge_write(
             self.store,
-            fd.ns,
-            merged,
-            self.shard_policy,
-            loaded.manifest,
-            self.ring_counters,
+            fd,
+            extra=None,
+            policy=self.shard_policy,
+            write_full=None,
+            strict=True,
+            counters=self.ring_counters,
+            compact=True,
         )
-        fd.merged_version = fd.ring.version
 
     # ==================================================================
     # Inbound API: file content operations

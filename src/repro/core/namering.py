@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..simcloud.clock import Timestamp
 
@@ -68,19 +69,15 @@ class Child:
         """The fake-deletion marker that will override this tuple."""
         return replace(self, deleted=True, timestamp=timestamp)
 
-    @property
+    @cached_property
     def name_hash(self) -> int:
         """CRC-32 of the UTF-8 name -- the sharded-ring placement hash.
 
-        Memoized through ``__dict__`` (frozen dataclass, no
-        ``__slots__``) because shard extraction hashes every child of a
-        giant directory on each write-back.
+        A plain instance attribute after its first read (frozen
+        dataclass, no ``__slots__``) because shard extraction hashes
+        every child of a giant directory on each write-back.
         """
-        cached = self.__dict__.get("_name_hash")
-        if cached is None:
-            cached = name_hash(self.name)
-            self.__dict__["_name_hash"] = cached
-        return cached
+        return name_hash(self.name)
 
 
 def name_hash(name: str) -> int:
@@ -200,7 +197,9 @@ class NameRing:
         valid for the instance's whole lifetime.  Gossip digest
         comparison and the monotone-version guards call ``version`` /
         ``len`` in hot loops; without the memo every such touch rescans
-        all m children.
+        all m children.  :meth:`merge_changes` derives the merged ring's
+        memo from its parent's and the updates, so a chain of small
+        merges into a giant ring never rescans it.
         """
         cached = self.__dict__.get("_stats_memo")
         if cached is None:
@@ -264,7 +263,27 @@ class NameRing:
             return self, ()
         merged = dict(self.children)
         merged.update(updates)
-        return NameRing(children=merged), tuple(updates)
+        ring = NameRing(children=merged)
+        stats = self.__dict__.get("_stats_memo")
+        if stats is not None:
+            # Carry the stats memo: an update never lowers its name's
+            # timestamp, so the version is the parent's or an update's.
+            version, live, tombstones = stats
+            for name, theirs in updates.items():
+                ours = self.children.get(name)
+                if ours is not None:
+                    if ours.deleted:
+                        tombstones -= 1
+                    else:
+                        live -= 1
+                if theirs.deleted:
+                    tombstones += 1
+                else:
+                    live += 1
+                if theirs.timestamp > version:
+                    version = theirs.timestamp
+            ring.__dict__["_stats_memo"] = (version, live, tombstones)
+        return ring, tuple(updates)
 
     def compacted(self) -> "NameRing":
         """Physically drop tombstones -- the deferred "real" removal."""

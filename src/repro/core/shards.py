@@ -161,9 +161,9 @@ class Layout:
     def fetch(self, store: ObjectStore, ks, counters=None, fan_out=False):
         """Units ``ks``' stored ``(bytes, ring)`` by unit; absent bytes
         are None and read as an empty ring.  The one unit came with the
-        layout.  ``fan_out`` issues the GETs through the store's
-        connection pool; every GET is issued before the first
-        QuorumError raises.  ``counters["get"]`` counts the GETs."""
+        layout.  ``fan_out`` sends the GETs through the store's
+        connection pool; every GET is sent before the first QuorumError
+        raises.  ``counters["get"]`` counts the GETs."""
         if self.manifest is None:
             return {k: self.head for k in ks}
 
@@ -312,6 +312,7 @@ def merge_write(
     strict: bool = False,
     elide: bool = False,
     counters=None,
+    compact: bool = False,
 ) -> None:
     """Read-merge-write descriptor ``fd``'s ring over its stored units.
 
@@ -319,17 +320,26 @@ def merge_write(
     holding a name of ``extra`` or ``fd.dirty_names``; the one unit
     always -- is skipped if its local digest equals the stored one,
     else fetched and, if a shard, PUT merged unless its bytes are
-    unchanged.  A split, reshard or collapse then fetches the units the
-    loop did not.  Every fetched unit is absorbed into the cache.  Then
+    unchanged.  A reshard or collapse then fetches the units the loop
+    did not.  Every fetched unit is absorbed into the cache.  Then
     the manifest commits, or ``write_full(fd)`` writes the whole ring:
     the one unit's write is its commit (skipped if ``elide`` and its
     bytes are unchanged), and so is a layout transition.  A read's
     QuorumError stops the write-back (safe: writes are monotone) or, if
     ``strict``, raises.
+
+    ``compact`` persists a compaction on use (paper §3.3.2): each dirty
+    unit is PUT compacted as well as merged, a vanished ring stays gone,
+    and nothing is absorbed -- a stored unit would bring the dropped
+    tombstones back into the cache.  The one unit and a transition
+    write the whole stored ring merged with the cache and compacted,
+    through :func:`write_stored`; ``write_full`` goes unused.
     """
     try:
         layout = open_layout(store, fd.ns)
     except ObjectNotFound:
+        if compact:
+            return  # the ring vanished (teardown, GC): keep it gone
         layout = Layout(fd.ns)
     except QuorumError:
         if strict:
@@ -361,6 +371,8 @@ def merge_write(
         if stored is None:
             continue  # the commit writes the one unit
         merged = local.merge(ring)
+        if compact:
+            merged = merged.compacted()
         payload = formatter.dumps_shard(merged)
         if payload == data:
             _bump(counters, "skip")
@@ -375,8 +387,8 @@ def merge_write(
             policy.should_collapse(total) or policy.desired_count(total) > count
         )
     if transition:
-        # A reshard or collapse rewrites every unit: the cache must
-        # first see the shards it had no dirty names in.
+        # A reshard or collapse rewrites every unit, so it needs the
+        # stored shards the loop did not read.
         rest = [k for k in range(count) if k not in fetched]
         try:
             rest_units = layout.fetch(store, rest, counters, fan_out=True)
@@ -386,13 +398,17 @@ def merge_write(
             return
         fetched.update(rest_units)
     absorbed = [ring for data, ring in fetched.values() if data is not None]
-    if absorbed:
+    if absorbed and not compact:
         merged, _ = fd.ring.merge_changes(_union(absorbed))
         if merged is not fd.ring:
             fd.ring = merged
             if fd.negative:
                 fd.negative.clear()
-    if stored is None:
+    if compact and (stored is None or transition):
+        stored_ring = _union([ring for _, ring in fetched.values()])
+        whole = fd.ring.merge(stored_ring).compacted()
+        manifest = write_stored(store, fd.ns, whole, policy, stored, counters)
+    elif stored is None:
         head = layout.head[0]
         if elide and head is not None and formatter.dumps_ring(fd.ring) == head:
             _bump(counters, "elide")

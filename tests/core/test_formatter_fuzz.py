@@ -179,3 +179,65 @@ class TestManifestProperty:
                 epoch=1,
                 digests=(ShardDigest(Timestamp.ZERO, 0, 0),),
             )
+
+
+# Text that reaches every escaper branch: names of safe characters
+# only, the wire format's separators, percent signs (valid, truncated
+# and bad escapes), non-ASCII and lone surrogates.
+_escaper_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("%|\n% 2Aaf~-._"),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=30,
+)
+
+
+def _outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except Exception as exc:  # noqa: BLE001 -- compared, not swallowed
+        return "raised", type(exc)
+
+
+class TestEscaperMatchesUrllib:
+    """``escape``/``unescape`` skip urllib for names that need no work;
+    urllib stays the reference for every input."""
+
+    @given(_escaper_text)
+    @settings(max_examples=400)
+    def test_escape_is_quote(self, text):
+        from urllib.parse import quote
+
+        from repro.core.formatter import _SAFE, escape
+
+        ours, ref = _outcome(escape, text), _outcome(
+            lambda t: quote(t, safe=_SAFE), text
+        )
+        assert ours[0] == ref[0]
+        if ours[0] == "ok":
+            assert ours[1] == ref[1]
+
+    @given(_escaper_text)
+    @settings(max_examples=400)
+    def test_unescape_is_unquote(self, text):
+        from urllib.parse import unquote
+
+        from repro.core.formatter import unescape
+
+        ours = _outcome(unescape, text)
+        ref = _outcome(lambda t: unquote(t, errors="strict"), text)
+        assert ours[0] == ref[0]
+        if ours[0] == "ok":
+            assert ours[1] == ref[1]
+        else:
+            assert ours[1] is FormatError
+
+    def test_fast_paths_return_the_name_itself(self):
+        from repro.core.formatter import escape, unescape
+
+        name = "plain-name_01.txt"
+        assert escape(name) is name
+        assert unescape(name) is name
+        assert escape("a|b") == "a%7Cb"
+        assert unescape("a%7Cb") == "a|b"

@@ -289,16 +289,17 @@ class TestStatsMemoConsistency:
                 live += 1
             if child.timestamp > version:
                 version = child.timestamp
-        return version, live, tombstones > 0
+        return version, live, tombstones
 
     def _assert_memos_fresh(self, ring: NameRing) -> None:
-        version, live, needs = self._brute(ring)
+        version, live, tombstones = self._brute(ring)
         # Interrogate twice: first touch populates the memo, the second
         # must serve the identical answer from cache.
         for _ in range(2):
             assert ring.version == version
             assert len(ring) == live
-            assert ring.needs_compaction == needs
+            assert ring.needs_compaction == (tombstones > 0)
+            assert ring._stats() == (version, live, tombstones)
         fresh = NameRing(children=dict(ring.children))
         assert ring.version == fresh.version
         assert len(ring) == len(fresh)
@@ -314,6 +315,35 @@ class TestStatsMemoConsistency:
             self._assert_memos_fresh(ring)
             merged = merged.merge(ring)
         self._assert_memos_fresh(merged)
+
+    @given(
+        rings=st.lists(arbitrary_ring(), min_size=1, max_size=6),
+        steps=st.lists(
+            st.sampled_from(["merge", "merge_changes", "compact"]),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_carried_memo_matches_recompute_across_compactions(
+        self, rings, steps
+    ):
+        """``merge_changes`` carries the parent's memo; compaction in
+        the chain turns tombstones into absences that later merges
+        override with live tuples, and back."""
+        chain = NameRing.empty()
+        for ring, step in zip(rings, steps):
+            self._assert_memos_fresh(chain)
+            self._assert_memos_fresh(ring)
+            if step == "compact":
+                chain = chain.compacted()
+                self._assert_memos_fresh(chain)
+                chain = chain.merge(ring)
+            elif step == "merge":
+                chain = chain.merge(ring)
+            else:
+                chain, _ = chain.merge_changes(ring)
+        self._assert_memos_fresh(chain)
 
     @given(a=arbitrary_ring(), b=arbitrary_ring())
     @settings(max_examples=150, deadline=None)

@@ -141,6 +141,52 @@ class TestShardedLifecycle:
         assert shard_gets  # the compaction write-back read the shards
         assert counter.value - before == len(shard_gets)
 
+    def test_compaction_rewrites_only_the_tombstones_shard(self):
+        """Compaction on use reads and writes the deleted name's shard."""
+        fs = sharded_fs(middlewares=1)
+        names = populate(fs, 30)
+        ns, data = stored_nr(fs)
+        manifest = formatter.loads_manifest(data)
+        doomed = names[7]
+        target = ring_shard_key(
+            ns, manifest.epoch, shards.shard_of(doomed, manifest.shard_count)
+        )
+        prefix = target.rsplit("/", 1)[0] + "/"
+        fs.delete(f"/big/{doomed}")
+        fs.pump()
+        keys = []
+        original = fs.store.get
+
+        def recording_get(key, *args, **kwargs):
+            keys.append(key)
+            return original(key, *args, **kwargs)
+
+        fs.store.get = recording_get
+        listing = fs.listdir("/big")  # compacts on use
+        fd = fs.middlewares[0].fd_cache.lookup(ns)
+        assert not fd.ring.needs_compaction  # the compaction did run
+        assert [key for key in keys if key.startswith(prefix)] == [target]
+        assert listing == [name for name in names if name != doomed]
+        loaded = shards.read_stored(fs.store, ns)
+        assert loaded.ring.live_names() == listing
+        assert all(doomed not in shard.children for shard in loaded.shards)
+
+    def test_compaction_past_the_merge_threshold_collapses(self):
+        fs = sharded_fs(middlewares=1)
+        names = populate(fs, 12)
+        for name in names[3:]:
+            fs.delete(f"/big/{name}")
+        fs.pump()
+        assert formatter.is_manifest(stored_nr(fs)[1])  # tombstones count
+        assert fs.listdir("/big") == names[:3]  # compacts: 3 <= 3 entries
+        ns, data = stored_nr(fs)
+        assert not formatter.is_manifest(data)
+        assert formatter.loads_ring(data).live_names() == names[:3]
+        assert not formatter.loads_ring(data).needs_compaction
+        assert fs.listdir("/big") == names[:3]
+        collapses = fs.middlewares[0].metrics.counter("shard.collapses")
+        assert collapses.value == 1
+
     def test_reshard_reads_each_shard_once(self):
         """A reshard fetches only the shards the dirty-unit loop did not."""
         fs = sharded_fs(middlewares=1)

@@ -9,12 +9,18 @@ small-threshold policy, at sizes that cross no layout boundary).  After
 ``store_ring_merged(fd, extra=P)`` the stored ring and the cached ring
 both equal S ⊔ C ⊔ P, and the write-back GETs only the ``nr:`` object
 plus each dirty shard whose local digest differs from the manifest's.
+
+Compaction on use is the same write-back over the units that hold the
+dropped tombstones T: after it the stored live view is that of S ⊔ C,
+no unit it wrote holds a name of T, the cache is C compacted, and the
+GETs are ``nr:`` plus each unit holding a name of T or D whose local
+digest differs from the manifest's.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import H2Config, H2Middleware, shards
+from repro.core import H2Config, H2Middleware, formatter, shards
 from repro.core.namering import Child, NameRing
 from repro.core.namespace import Namespace
 from repro.simcloud import SwiftCluster, Timestamp
@@ -99,4 +105,74 @@ def test_write_back_is_the_join_on_every_layout(scenario):
     assert store.ledger.gets - gets_before == gets
     assert shards.read_stored(store, ns).ring == expected
     assert fd.ring == expected
+    assert fd.dirty_names == set()
+
+
+@st.composite
+def compactions(draw):
+    """S and a clean cache C as in :func:`scenarios`, minus the patch.
+
+    C's tombstones are the T compaction drops.  The guards only allow
+    that once the store holds no live tuple for a name of T, so S gets
+    C's tombstone there.  Four names stay live everywhere, which keeps
+    a sharded ring above the collapse threshold.
+    """
+    stored, cached, dirty, _ = draw(scenarios())
+    stored, cached = dict(stored.children), dict(cached.children)
+    for name in sorted(stored)[:4]:
+        stored[name] = cached[name] = Child(name, stored[name].timestamp)
+        dirty.discard(name)
+    for name, child in cached.items():
+        if child.deleted and name in stored and not stored[name].deleted:
+            stored[name] = child
+    return NameRing(children=stored), NameRing(children=cached), dirty
+
+
+@settings(max_examples=150, deadline=None)
+@given(compactions())
+def test_compaction_rewrites_only_the_tombstones_units(scenario):
+    stored, cached, dirty = scenario
+    assume(cached.needs_compaction)
+    store = SwiftCluster.fast().store
+    mw = H2Middleware(0, store, CFG)
+    ns = Namespace("7.1.42")
+    manifest = shards.write_stored(store, ns, stored, mw.shard_policy, None)
+
+    fd = mw.fd_cache.get_or_create(ns)
+    fd.ring = cached
+    fd.loaded = True
+    fd.layout = manifest
+    fd.dirty_names = set(dirty)
+
+    doomed = {name for name, child in cached.children.items() if child.deleted}
+    gets = 1  # the nr: object: the ring or its manifest
+    if manifest is not None:
+        count = manifest.shard_count
+        units = {shards.shard_of(name, count) for name in doomed | dirty}
+        local = cached.compacted()
+        for k, ring in shards.extract_shards(local, count, units).items():
+            if shards.digest_of(ring) != manifest.digests[k]:
+                gets += 1
+
+    written = []
+    put = store.put
+
+    def recording_put(key, data, *args, **kwargs):
+        written.append(data)
+        return put(key, data, *args, **kwargs)
+
+    store.put = recording_put
+    gets_before = store.ledger.gets
+    mw._compact_in_use(fd)
+    mw.merger.run_until_clean()
+
+    assert store.ledger.gets - gets_before == gets
+    loaded = shards.read_stored(store, ns)
+    assert loaded.ring.live_children() == stored.merge(cached).live_children()
+    for data in written:
+        if formatter.is_manifest(data):
+            continue
+        unit = formatter.loads_shard(data) if manifest else formatter.loads_ring(data)
+        assert not doomed & set(unit.children)
+    assert fd.ring == cached.compacted()
     assert fd.dirty_names == set()
